@@ -143,8 +143,6 @@ expl=$(timeout 60 ./target/release/ssd explain examples/movies.ssd \
     'select T from db.Entry.Movie.Title T' --analyze)
 echo "$expl" | grep -q "estimated cost"
 echo "$expl" | grep -q "actual cost"
-# The E17 overhead benchmark must compile and run (quick mode).
-cargo bench -q -p ssd-bench --bench e17_trace --offline -- --quick >/dev/null
 
 echo "== durable store recovery smoke run" >&2
 # Crash-safety, end to end through the real binary. Phase 1: commit one

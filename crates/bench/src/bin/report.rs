@@ -1,31 +1,52 @@
-//! Experiment report: regenerates the E1–E12 and E15–E20 measured
-//! series recorded in EXPERIMENTS.md.
+//! Experiment report: regenerates the E1–E20 measured series recorded
+//! in EXPERIMENTS.md.
 //!
 //! ```sh
 //! cargo run --release -p ssd-bench --bin report
 //! ```
 //!
-//! Criterion (`cargo bench`) provides rigorous timings; this binary
-//! produces the *shape* tables — counts, work measures, and coarse
-//! wall-clock ratios — that stand in for the tutorial's (non-existent)
-//! evaluation tables. The serving (E16), tracing (E17), and storage
-//! (E18) sections also drop machine-readable `BENCH_serve.json` /
-//! `BENCH_trace.json` / `BENCH_store.json` in the current directory,
-//! the per-PR data points for the perf trajectory (ROADMAP item 5).
+//! The workspace's one experiment harness. Each section prints a
+//! *shape* table — counts, work measures, and median wall-clock times
+//! and ratios — standing in for the tutorial's (non-existent)
+//! evaluation tables. The serving (E16), tracing (E17), storage (E18),
+//! lint (E19) and index (E20) sections also drop machine-readable
+//! `BENCH_*.json` files in the current directory, the per-PR data
+//! points for the perf trajectory (ROADMAP item 5).
 
-use semistructured::graph::bisim::graphs_bisimilar;
+use semistructured::graph::bisim::{bisimilarity_classes, graphs_bisimilar, naive_bisimilar};
 use semistructured::graph::index::GraphIndex;
+use semistructured::graph::{json, literal};
 use semistructured::query::decompose::{eval_decomposed_nfa, Partition};
 use semistructured::query::recursion::{gext, Transducer};
 use semistructured::query::rpe::eval::{eval_nfa, eval_nfa_with_stats};
 use semistructured::query::{browse, evaluate_select, optimizer, parse_query, restructure};
 use semistructured::query::{Nfa, Rpe, Step};
-use semistructured::triples::datalog::{evaluate, evaluate_naive, parse_program};
+use semistructured::trace::{JsonlSink, SharedRing, Tracer, DEFAULT_RING_CAP};
+use semistructured::triples::datalog::{evaluate, evaluate_naive, evaluate_traced, parse_program};
 use semistructured::triples::TripleStore;
-use semistructured::{DataGuide, Database, EvalOptions, Pred, Value};
+use semistructured::{Budget, DataGuide, Database, EvalOptions, Guard, Label, Pred, Value};
 use ssd_bench::{clusters, movies, web};
+use ssd_data::acedb::{acedb, AcedbConfig};
 use ssd_data::movies::figure1;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The E3 select join, reused by E14, E16 and E17.
+const JOIN: &str = r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
+                      where exists M.Cast"#;
+
+/// Transitive closure over the edge relation: the E6 datalog workload,
+/// reused by E14 and E17.
+const TC: &str = "path(X, Y) :- edge(X, _L, Y).\npath(X, Y) :- edge(X, _L, Z), path(Z, Y).";
+
+/// An active budget that never trips on the report's workloads but
+/// keeps every guard check arm live (E14, E17).
+fn roomy() -> Budget {
+    Budget::unlimited()
+        .max_steps(u64::MAX / 2)
+        .max_memory_mb(1 << 20)
+        .max_depth(1 << 20)
+        .timeout(Duration::from_secs(3600))
+}
 
 /// Median wall time over `n` runs, in microseconds.
 fn time_us<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -45,7 +66,7 @@ fn header(title: &str) {
 }
 
 fn main() {
-    println!("semistructured — experiment report (E1–E12, E15–E20)");
+    println!("semistructured — experiment report (E1–E20)");
     println!("paper: Buneman, \"Semistructured Data\", PODS 1997 (tutorial; no tables — series defined in EXPERIMENTS.md)");
 
     e01();
@@ -60,9 +81,11 @@ fn main() {
     e10();
     e11();
     e12();
+    e13();
+    let (join, tc) = e14();
     e15();
     e16();
-    e17();
+    e17(join.as_ref(), tc.as_ref());
     e18();
     e19();
     e20();
@@ -132,11 +155,7 @@ fn e02() {
 
 fn e03() {
     header("E3 — select-from-where (µs, median of 9)");
-    let join = parse_query(
-        r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-           where exists M.Cast"#,
-    )
-    .unwrap();
+    let join = parse_query(JOIN).unwrap();
     println!("{:>8} {:>14} {:>10}", "entries", "join query", "results");
     for &size in &[30usize, 100, 300] {
         let g = movies(size);
@@ -259,11 +278,7 @@ fn e06() {
     for &pages in &[30usize, 60, 120] {
         let g = web(pages);
         let store = TripleStore::from_graph(&g);
-        let program = parse_program(
-            "path(X, Y) :- edge(X, _L, Y).\npath(X, Y) :- edge(X, _L, Z), path(Z, Y).",
-            g.symbols(),
-        )
-        .unwrap();
+        let program = parse_program(TC, g.symbols()).unwrap();
         let semi = evaluate(&program, &store).unwrap();
         let naive = evaluate_naive(&program, &store).unwrap();
         assert_eq!(semi.facts.get("path"), naive.facts.get("path"));
@@ -492,6 +507,215 @@ fn e12() {
     );
 }
 
+fn e13() {
+    header("E13 — ablations of design choices (µs, median of 5)");
+    // Bisimulation: partition refinement vs the naive greatest-fixpoint
+    // oracle, small sizes only (the oracle is O(n^2 m)).
+    println!(
+        "{:>8} {:>16} {:>12} {:>10}",
+        "entries", "bisim partition", "bisim naive", "speedup"
+    );
+    for &size in &[5usize, 15] {
+        let g = movies(size);
+        let t_part = time_us(5, || bisimilarity_classes(&g));
+        let t_naive = time_us(5, || naive_bisimilar(&g, g.root(), &g, g.root()));
+        println!(
+            "{size:>8} {t_part:>16.1} {t_naive:>12.1} {:>9.1}x",
+            t_naive / t_part.max(0.01)
+        );
+    }
+
+    // DFA vs NFA acceptance of every length-3 word over the RPE's
+    // alphabet: (Entry|Movie)*.(Title|Cast.Actors).
+    let g = movies(100);
+    let rpe = Rpe::seq(vec![
+        Rpe::alt(vec![Rpe::symbol("Entry"), Rpe::symbol("Movie")]).star(),
+        Rpe::alt(vec![
+            Rpe::symbol("Title"),
+            Rpe::seq(vec![Rpe::symbol("Cast"), Rpe::symbol("Actors")]),
+        ]),
+    ]);
+    let nfa = Nfa::compile(&rpe);
+    let dfa = nfa.to_dfa();
+    let alphabet: Vec<Label> = ["Entry", "Movie", "Title", "Cast", "Actors"]
+        .iter()
+        .map(|s| Label::symbol(g.symbols(), s))
+        .collect();
+    let mut words = Vec::new();
+    for a in &alphabet {
+        for b in &alphabet {
+            for c in &alphabet {
+                words.push([a.clone(), b.clone(), c.clone()]);
+            }
+        }
+    }
+    let t_nfa = time_us(5, || {
+        words
+            .iter()
+            .filter(|w| nfa.accepts(&w[..], g.symbols()))
+            .count()
+    });
+    let t_dfa = time_us(5, || {
+        words
+            .iter()
+            .filter(|w| dfa.accepts(&w[..], g.symbols()))
+            .count()
+    });
+    println!(
+        "RPE acceptance, {} words: NFA {t_nfa:.1} µs vs DFA {t_dfa:.1} µs",
+        words.len()
+    );
+
+    // Serialization round trips on an acyclic tree (JSON cannot say
+    // cycles or sharing; the literal syntax can).
+    let tree = acedb(&AcedbConfig {
+        objects: 40,
+        max_depth: 6,
+        branching: 3,
+        seed: 4,
+    });
+    let via_literal =
+        || literal::parse_graph(&literal::write_graph(&tree)).map_err(|e| e.to_string());
+    let via_json = || {
+        json::graph_to_json(&tree)
+            .and_then(|text| json::from_json(&text))
+            .map_err(|e| e.to_string())
+    };
+    match (via_literal(), via_json()) {
+        (Ok(_), Ok(_)) => println!(
+            "round trip of a {}-edge ACeDB tree: literal {:.1} µs vs JSON {:.1} µs",
+            tree.edge_count(),
+            time_us(5, via_literal),
+            time_us(5, via_json)
+        ),
+        (Err(e), _) | (_, Err(e)) => eprintln!("E13 round trip skipped: {e}"),
+    }
+
+    // Summaries on regular (movie) vs ragged (ACeDB) data.
+    println!(
+        "{:>16} {:>11} {:>11} {:>11} {:>11}",
+        "data", "guide µs", "guide sz", "1idx µs", "1idx sz"
+    );
+    for (name, data) in [("regular, 100", &g), ("ragged, ACeDB", &tree)] {
+        let t_dg = time_us(5, || DataGuide::build(data));
+        let t_oi = time_us(5, || ssd_schema::OneIndex::build(data));
+        println!(
+            "{name:>16} {t_dg:>11.1} {:>11} {t_oi:>11.1} {:>11}",
+            DataGuide::build(data).node_count(),
+            ssd_schema::OneIndex::build(data).node_count()
+        );
+    }
+}
+
+/// One workload's median µs over `n` runs: unguarded, under an
+/// inactive guard, under an active `roomy()` guard, and — under that
+/// same active guard — with a ring or a JSONL tracer attached. E14
+/// reports the guard columns and E17 the tracer columns of the same
+/// samples, so each workload is measured once.
+struct Overheads {
+    unguarded: f64,
+    inactive: f64,
+    active: f64,
+    ring: f64,
+    jsonl: f64,
+    /// Events the ring holds after one traced run.
+    events: usize,
+}
+
+/// Time `run(guard, tracer)` five ways (see [`Overheads`]); `None`, with
+/// the error printed, when the workload fails under the active guard.
+fn overheads<T, E: std::fmt::Display>(
+    what: &str,
+    n: usize,
+    run: impl Fn(Option<&Guard>, Option<&Tracer>) -> Result<T, E>,
+) -> Option<Overheads> {
+    if let Err(e) = run(Some(&roomy().guard()), None) {
+        eprintln!("{what} skipped: {e}");
+        return None;
+    }
+    let inactive = Guard::unlimited();
+    let unguarded = time_us(n, || run(None, None));
+    let inactive = time_us(n, || run(Some(&inactive), None));
+    let active = time_us(n, || run(Some(&roomy().guard()), None));
+    let ring = SharedRing::new(DEFAULT_RING_CAP);
+    let ring_tracer = Tracer::with_sink(Box::new(ring.clone()));
+    let mut events = 0;
+    let ring_t = time_us(n, || {
+        let r = run(Some(&roomy().guard()), Some(&ring_tracer));
+        ring_tracer.flush();
+        events = ring.take().len();
+        r
+    });
+    let jsonl_tracer = Tracer::with_sink(Box::new(JsonlSink::new(std::io::sink())));
+    let jsonl = time_us(n, || {
+        let r = run(Some(&roomy().guard()), Some(&jsonl_tracer));
+        jsonl_tracer.flush();
+        r
+    });
+    Some(Overheads {
+        unguarded,
+        inactive,
+        active,
+        ring: ring_t,
+        jsonl,
+        events,
+    })
+}
+
+/// Measures the E3 select join and the E6 datalog TC for E14 and E17.
+fn e14() -> (Option<Overheads>, Option<Overheads>) {
+    header("E14 — guard overhead: no guard vs inactive vs active guard (µs)");
+    let g = movies(1000);
+    let join = match parse_query(JOIN) {
+        Ok(q) => overheads("E14/E17 select", 15, |guard, tracer| {
+            let mut opts = EvalOptions::default();
+            if let Some(guard) = guard {
+                opts = opts.with_guard(guard);
+            }
+            if let Some(tracer) = tracer {
+                opts = opts.with_tracer(tracer);
+            }
+            evaluate_select(&g, &q, &opts)
+        }),
+        Err(e) => {
+            eprintln!("E14/E17 select skipped: {e}");
+            None
+        }
+    };
+    let g = web(40);
+    let store = TripleStore::from_graph(&g);
+    let tc = match parse_program(TC, g.symbols()) {
+        Ok(program) => overheads("E14/E17 datalog", 5, |guard, tracer| match guard {
+            None => evaluate(&program, &store),
+            Some(guard) => evaluate_traced(&program, &store, guard, tracer),
+        }),
+        Err(e) => {
+            eprintln!("E14/E17 datalog skipped: {e}");
+            None
+        }
+    };
+
+    println!(
+        "{:>22} {:>12} {:>12} {:>12} {:>10}",
+        "workload", "unguarded", "inactive", "active", "overhead"
+    );
+    for (name, o) in [
+        ("E3 select, 1000 ent.", &join),
+        ("E6 datalog TC, 40 pg.", &tc),
+    ] {
+        if let Some(o) = o {
+            println!(
+                "{name:>22} {:>12.1} {:>12.1} {:>12.1} {:>9.1}%",
+                o.unguarded,
+                o.inactive,
+                o.active,
+                (o.active / o.unguarded.max(0.01) - 1.0) * 100.0
+            );
+        }
+    }
+    (join, tc)
+}
+
 fn e15() {
     header("E15 — cost-based vs heuristic optimizer (µs, median of 5)");
     use semistructured::DataStats;
@@ -582,8 +806,6 @@ fn e16() {
     header("E16 — ssd-serve: worker scaling, admission cost, tail latency");
 
     const JOBS: usize = 32;
-    const JOIN: &str = r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-                          where exists M.Cast"#;
     let db = Arc::new(Database::new(movies(100)));
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -709,64 +931,43 @@ fn e16() {
             m.counters.fuel_spent,
         ),
     );
+
+    // (d) Per-job serving overhead: one path query through the server
+    // (estimate → admit → dispatch → stream → wait) vs the bare engine.
+    let server = Server::start(Arc::clone(&db), cfg(1));
+    let sess = server.open_session(roomy);
+    let round_trip = match sess.submit(JobKind::Query, path3) {
+        Ok(h) => h.wait().error,
+        Err(e) => Some(e.to_string()),
+    };
+    let served = time_us(15, || sess.submit(JobKind::Query, path3).map(|h| h.wait()));
+    sess.close();
+    server.shutdown();
+    match (round_trip, parse_query(path3)) {
+        (Some(e), _) => eprintln!("E16 per-job overhead skipped: {e}"),
+        (None, Err(e)) => eprintln!("E16 engine baseline skipped: {e}"),
+        (None, Ok(q)) => println!(
+            "per-job overhead (path3): engine {:.1} µs vs served {served:.1} µs",
+            time_us(15, || evaluate_select(
+                db.graph(),
+                &q,
+                &EvalOptions::default()
+            ))
+        ),
+    }
 }
 
-fn e17() {
-    use semistructured::query::evaluate_select;
-    use semistructured::trace::{JsonlSink, SharedRing, Tracer, DEFAULT_RING_CAP};
-    use semistructured::{Budget, EvalOptions};
+fn e17(join: Option<&Overheads>, tc: Option<&Overheads>) {
     header("E17 — tracing overhead on the E3 select workload");
-
-    const JOIN: &str = r#"select {p: {t: T, d: D}} from db.Entry.Movie M, M.Title T, M.Director D
-                          where exists M.Cast"#;
-    // An active budget that never trips: tracing reads fuel/memory off
-    // the guard, so every variant pays the same guard cost and the
-    // comparison isolates the tracer (same setup as benches/e17_trace.rs).
-    let roomy = || {
-        Budget::unlimited()
-            .max_steps(u64::MAX / 2)
-            .max_memory_mb(1 << 20)
-            .max_depth(1 << 20)
-            .timeout(std::time::Duration::from_secs(3600))
+    // Measured in E14. Tracing reads fuel/memory off the guard, so every
+    // variant runs under the same active `roomy()` guard and the
+    // comparison isolates the tracer.
+    let Some(o) = join else {
+        eprintln!("E17 skipped: the select workload did not run");
+        return;
     };
-    let g = movies(1000);
-    let q = semistructured::query::parse_query(JOIN).unwrap();
-
-    let baseline = time_us(15, || {
-        let guard = roomy().guard();
-        evaluate_select(&g, &q, &EvalOptions::default().with_guard(&guard)).unwrap()
-    });
-    let mut events = 0usize;
-    let ring = SharedRing::new(DEFAULT_RING_CAP);
-    let ring_tracer = Tracer::with_sink(Box::new(ring.clone()));
-    let ring_t = time_us(15, || {
-        let guard = roomy().guard();
-        let r = evaluate_select(
-            &g,
-            &q,
-            &EvalOptions::default()
-                .with_guard(&guard)
-                .with_tracer(&ring_tracer),
-        )
-        .unwrap();
-        ring_tracer.flush();
-        events = ring.take().len();
-        r
-    });
-    let jsonl_tracer = Tracer::with_sink(Box::new(JsonlSink::new(std::io::sink())));
-    let jsonl = time_us(15, || {
-        let guard = roomy().guard();
-        let r = evaluate_select(
-            &g,
-            &q,
-            &EvalOptions::default()
-                .with_guard(&guard)
-                .with_tracer(&jsonl_tracer),
-        )
-        .unwrap();
-        jsonl_tracer.flush();
-        r
-    });
+    let baseline = o.active;
+    let (ring_t, jsonl, events) = (o.ring, o.jsonl, o.events);
 
     let pct = |v: f64| (v / baseline.max(0.01) - 1.0) * 100.0;
     println!("select join over movies(1000), median of 15 runs:");
@@ -794,6 +995,17 @@ fn e17() {
             pct(jsonl),
         ),
     );
+
+    // The E6 datalog workload (printed only).
+    if let Some(o) = tc {
+        println!("datalog TC over web(40), median of 5 runs:");
+        for (name, t) in [("baseline", o.active), ("ring", o.ring), ("jsonl", o.jsonl)] {
+            println!(
+                "{name:>10} {t:>12.1} {:>9.1}%",
+                (t / o.active.max(0.01) - 1.0) * 100.0
+            );
+        }
+    }
 }
 
 fn e18() {

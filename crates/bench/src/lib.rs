@@ -1,15 +1,12 @@
-//! Shared fixtures for the E1–E12 benchmark suite.
+//! Shared fixtures for the experiment report (`src/bin/report.rs`).
 //!
 //! Every experiment is indexed in DESIGN.md §4 and reported in
 //! EXPERIMENTS.md. Workloads come from `ssd-data` with fixed seeds so runs
 //! are reproducible.
 
-use semistructured::{Database, Graph};
+use semistructured::Graph;
 use ssd_data::movies::{movie_database, MovieDbConfig};
 use ssd_data::webgraph::{clustered_graph, web_graph, WebGraphConfig};
-
-/// Movie databases at the standard sweep sizes (entries).
-pub const MOVIE_SIZES: &[usize] = &[30, 100, 300];
 
 /// Build the standard movie database of a given entry count.
 pub fn movies(entries: usize) -> Graph {
@@ -29,9 +26,4 @@ pub fn web(pages: usize) -> Graph {
 /// Chain-of-clusters graph for the decomposition experiment.
 pub fn clusters(k: usize, size: usize) -> Graph {
     clustered_graph(k, size, 3)
-}
-
-/// Facade wrapper.
-pub fn movie_db(entries: usize) -> Database {
-    Database::new(movies(entries))
 }

@@ -19,6 +19,8 @@
 
 use std::fmt;
 
+pub mod json;
+
 /// Half-open byte range into the analysed source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Span {
@@ -541,6 +543,20 @@ fn locate(source: &str, pos: usize) -> (usize, usize, &str) {
     let line_start = before.rfind('\n').map_or(0, |i| i + 1);
     let line_end = source[pos..].find('\n').map_or(source.len(), |i| pos + i);
     (line_no, pos - line_start + 1, &source[line_start..line_end])
+}
+
+/// Maximum nesting depth accepted by the recursive-descent parsers
+/// (literal, JSON, XML, query, rewrite). Deeper inputs get an SSD110
+/// parse error instead of overflowing the stack.
+pub const MAX_PARSE_DEPTH: usize = 256;
+
+/// The SSD110 headline the parsers report when input nests too deep.
+pub fn parse_depth_message() -> String {
+    Diagnostic::new(
+        Code::ParseDepthExceeded,
+        format!("input nests deeper than {MAX_PARSE_DEPTH} levels"),
+    )
+    .headline()
 }
 
 /// Helpers over a batch of findings.

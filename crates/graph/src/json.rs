@@ -22,6 +22,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::label::Label;
 use crate::value::Value;
+use ssd_diag::json::{escape_into, Json};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -48,226 +49,59 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 // --------------------------------------------------------------------------
-// Parsing (a small, strict JSON subset parser: no surrogate-pair escapes).
-
-struct P<'a> {
-    src: &'a str,
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> P<'a> {
-    fn err<T>(&self, message: impl Into<String>) -> Result<T, JsonError> {
-        Err(JsonError::Parse {
-            at: self.pos,
-            message: message.into(),
-        })
-    }
-
-    fn rest(&self) -> &'a str {
-        &self.src[self.pos..]
-    }
-
-    fn skip_ws(&mut self) {
-        let r = self.rest();
-        let t = r.trim_start();
-        self.pos += r.len() - t.len();
-    }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.rest().chars().next()
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
-            self.pos += c.len_utf8();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), JsonError> {
-        if self.eat(c) {
-            Ok(())
-        } else {
-            self.err(format!("expected '{c}'"))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect('"')?;
-        let mut out = String::new();
-        let mut chars = self.rest().char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next() {
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            match chars.next().and_then(|(_, h)| h.to_digit(16)) {
-                                Some(d) => code = code * 16 + d,
-                                None => return self.err("bad \\u escape"),
-                            }
-                        }
-                        match char::from_u32(code) {
-                            Some(ch) => out.push(ch),
-                            None => return self.err("bad unicode escape"),
-                        }
-                    }
-                    _ => return self.err("bad escape"),
-                },
-                _ => out.push(c),
-            }
-        }
-        self.err("unterminated string")
-    }
-
-    fn value(&mut self, g: &mut Graph) -> Result<NodeId, JsonError> {
-        self.depth += 1;
-        if self.depth > crate::literal::MAX_PARSE_DEPTH {
-            return Err(JsonError::Parse {
-                at: self.pos,
-                message: crate::literal::depth_message(),
-            });
-        }
-        let out = self.value_inner(g);
-        self.depth -= 1;
-        out
-    }
-
-    fn value_inner(&mut self, g: &mut Graph) -> Result<NodeId, JsonError> {
-        match self.peek() {
-            Some('{') => {
-                self.expect('{')?;
-                let node = g.add_node();
-                if self.eat('}') {
-                    return Ok(node);
-                }
-                loop {
-                    let key = self.string()?;
-                    self.expect(':')?;
-                    let child = self.value(g)?;
-                    g.add_sym_edge(node, &key, child);
-                    if self.eat(',') {
-                        continue;
-                    }
-                    self.expect('}')?;
-                    break;
-                }
-                Ok(node)
-            }
-            Some('[') => {
-                self.expect('[')?;
-                let node = g.add_node();
-                if self.eat(']') {
-                    return Ok(node);
-                }
-                let mut i = 1i64;
-                loop {
-                    let child = self.value(g)?;
-                    g.add_edge(node, Label::int(i), child);
-                    i += 1;
-                    if self.eat(',') {
-                        continue;
-                    }
-                    self.expect(']')?;
-                    break;
-                }
-                Ok(node)
-            }
-            Some('"') => {
-                let s = self.string()?;
-                let node = g.add_node();
-                g.add_value_edge(node, s);
-                Ok(node)
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' => {
-                let v = self.number()?;
-                let node = g.add_node();
-                g.add_value_edge(node, v);
-                Ok(node)
-            }
-            Some('t') if self.rest().starts_with("true") => {
-                self.pos += 4;
-                let node = g.add_node();
-                g.add_value_edge(node, true);
-                Ok(node)
-            }
-            Some('f') if self.rest().starts_with("false") => {
-                self.pos += 5;
-                let node = g.add_node();
-                g.add_value_edge(node, false);
-                Ok(node)
-            }
-            Some('n') if self.rest().starts_with("null") => {
-                self.pos += 4;
-                Ok(g.add_node()) // null → the empty node
-            }
-            _ => self.err("expected a JSON value"),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, JsonError> {
-        let r = self.rest();
-        let mut end = 0;
-        let mut real = false;
-        for (i, c) in r.char_indices() {
-            match c {
-                '0'..='9' => end = i + 1,
-                '-' if i == 0 => end = i + 1,
-                '.' | 'e' | 'E' => {
-                    real = true;
-                    end = i + 1;
-                }
-                '+' | '-' if real => end = i + 1,
-                _ => break,
-            }
-        }
-        if end == 0 {
-            return self.err("expected number");
-        }
-        let text = &r[..end];
-        self.pos += end;
-        if real {
-            text.parse()
-                .map(Value::Real)
-                .or_else(|_| self.err("bad number"))
-        } else {
-            text.parse()
-                .map(Value::Int)
-                .or_else(|_| self.err("bad number"))
-        }
-    }
-}
+// Parsing: the shared strict parser, then one walk of its tree.
 
 /// Parse a JSON document into a fresh rooted graph.
 pub fn from_json(src: &str) -> Result<Graph, JsonError> {
+    let doc = Json::parse(src).map_err(|e| JsonError::Parse {
+        at: e.at,
+        message: e.message,
+    })?;
     let mut g = Graph::new();
-    let mut p = P {
-        src,
-        pos: 0,
-        depth: 0,
-    };
-    let root = p.value(&mut g)?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return p.err("trailing input after JSON value");
-    }
+    let root = add_value(&mut g, doc);
     g.set_root(root);
     g.gc();
     Ok(g)
+}
+
+/// Add the node for `v` (and, recursively, its children) to `g`,
+/// moving its strings in. The parser caps nesting, so the recursion is
+/// bounded.
+fn add_value(g: &mut Graph, v: Json) -> NodeId {
+    let node = g.add_node();
+    let atom = match v {
+        Json::Null => None, // null → the empty node
+        Json::Bool(b) => Some(Value::Bool(b)),
+        Json::Num(text) => Some(number(&text)),
+        Json::Str(s) => Some(Value::Str(s)),
+        Json::Arr(items) => {
+            for (i, item) in (1i64..).zip(items) {
+                let child = add_value(g, item);
+                g.add_edge(node, Label::int(i), child);
+            }
+            None
+        }
+        Json::Obj(fields) => {
+            for (key, item) in fields {
+                let child = add_value(g, item);
+                g.add_sym_edge(node, &key, child);
+            }
+            None
+        }
+    };
+    if let Some(atom) = atom {
+        g.add_value_edge(node, atom);
+    }
+    node
+}
+
+/// The int/real split: an integer literal that fits `i64` is an int;
+/// a fraction, an exponent, or an integer beyond `i64` is a real.
+fn number(text: &str) -> Value {
+    match text.parse() {
+        Ok(i) => Value::Int(i),
+        Err(_) => Value::Real(text.parse().unwrap_or(f64::NAN)),
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -389,19 +223,7 @@ fn write_scalar(v: &Value, out: &mut String) {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(s, out);
     out.push('"');
 }
 
@@ -445,6 +267,36 @@ mod tests {
         let g = from_json(r#"{"s": "a\"b\nA"}"#).unwrap();
         let s = g.successors_by_name(g.root(), "s")[0];
         assert_eq!(g.atomic_value(s), Some(&Value::Str("a\"b\nA".into())));
+    }
+
+    #[test]
+    fn import_accepts_every_json_escape() {
+        let g = from_json(r#"{"s": "a\bb\f", "e": "\ud83d\ude00", "u": "\u00e9"}"#).unwrap();
+        let atom = |k| {
+            g.atomic_value(g.successors_by_name(g.root(), k)[0])
+                .cloned()
+        };
+        assert_eq!(atom("s"), Some(Value::Str("a\u{8}b\u{c}".into())));
+        assert_eq!(atom("e"), Some(Value::Str("\u{1F600}".into())));
+        assert_eq!(atom("u"), Some(Value::Str("\u{e9}".into())));
+        // A surrogate half on its own is not a character.
+        assert!(from_json(r#"{"s": "\ud83d"}"#).is_err());
+        assert!(from_json(r#"{"s": "\ude00\ud83d"}"#).is_err());
+    }
+
+    #[test]
+    fn integers_beyond_i64_import_as_reals() {
+        let g =
+            from_json(r#"{"big": 100000000000000000000, "neg": -9223372036854775808}"#).unwrap();
+        let atom = |k| {
+            g.atomic_value(g.successors_by_name(g.root(), k)[0])
+                .cloned()
+        };
+        assert_eq!(atom("big"), Some(Value::Real(1e20)));
+        assert_eq!(atom("neg"), Some(Value::Int(i64::MIN)));
+        // Such reals export without a fraction and still come back as reals.
+        let back = from_json(&graph_to_json(&g).unwrap()).unwrap();
+        assert!(graphs_bisimilar(&g, &back));
     }
 
     #[test]

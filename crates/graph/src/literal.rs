@@ -31,19 +31,7 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth accepted by the recursive-descent parsers
-/// (literal, JSON, XML). Deeper inputs get an SSD110 parse error instead
-/// of overflowing the stack.
-pub const MAX_PARSE_DEPTH: usize = 256;
-
-/// The SSD110 message used by all three parsers when input nests too deep.
-pub(crate) fn depth_message() -> String {
-    ssd_diag::Diagnostic::new(
-        ssd_diag::Code::ParseDepthExceeded,
-        format!("input nests deeper than {MAX_PARSE_DEPTH} levels"),
-    )
-    .headline()
-}
+pub use ssd_diag::MAX_PARSE_DEPTH;
 
 /// Error from [`parse_tree`] / [`parse_graph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,7 +227,7 @@ impl<'a> Parser<'a> {
     fn tree(&mut self) -> Result<TreeSpec, ParseError> {
         self.depth += 1;
         if self.depth > MAX_PARSE_DEPTH {
-            return self.err(depth_message());
+            return self.err(ssd_diag::parse_depth_message());
         }
         let out = self.tree_inner();
         self.depth -= 1;

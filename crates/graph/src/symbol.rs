@@ -11,10 +11,9 @@
 //! cross-graph operations (union, copy, bisimulation between databases) free
 //! of string translation.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A dense identifier for an interned symbol string.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,12 +45,22 @@ impl SymbolTable {
         Self::default()
     }
 
+    // Poisoning is ignored: a panicking holder cannot leave the
+    // append-only table in a state later readers would misread.
+    fn read(&self) -> RwLockReadGuard<'_, SymbolTableInner> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, SymbolTableInner> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Intern `s`, returning its stable id.
     pub fn intern(&self, s: &str) -> SymbolId {
-        if let Some(id) = self.inner.read().map.get(s) {
+        if let Some(id) = self.read().map.get(s) {
             return *id;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         // Re-check: another thread may have interned between the read and
         // write lock acquisitions.
         if let Some(id) = inner.map.get(s) {
@@ -68,14 +77,13 @@ impl SymbolTable {
 
     /// Look up a symbol without interning it.
     pub fn get(&self, s: &str) -> Option<SymbolId> {
-        self.inner.read().map.get(s).copied()
+        self.read().map.get(s).copied()
     }
 
     /// The string for `id`. Panics if `id` was produced by a different table.
     pub fn resolve(&self, id: SymbolId) -> Arc<str> {
         Arc::clone(
-            self.inner
-                .read()
+            self.read()
                 .strings
                 .get(id.index())
                 .expect("SymbolId from a foreign SymbolTable"),
@@ -84,7 +92,7 @@ impl SymbolTable {
 
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
-        self.inner.read().strings.len()
+        self.read().strings.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -96,7 +104,7 @@ impl SymbolTable {
     /// This supports the §1.3 browsing query "what objects have an attribute
     /// name that starts with `act`" without scanning the data graph.
     pub fn symbols_with_prefix(&self, prefix: &str) -> Vec<SymbolId> {
-        let inner = self.inner.read();
+        let inner = self.read();
         inner
             .strings
             .iter()
@@ -108,7 +116,7 @@ impl SymbolTable {
 
     /// Snapshot of all interned strings, indexed by `SymbolId`.
     pub fn snapshot(&self) -> Vec<Arc<str>> {
-        self.inner.read().strings.clone()
+        self.read().strings.clone()
     }
 }
 

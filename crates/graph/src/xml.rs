@@ -111,7 +111,7 @@ impl<'a> P<'a> {
         if self.depth > crate::literal::MAX_PARSE_DEPTH {
             return Err(XmlError::Parse {
                 at: self.pos,
-                message: crate::literal::depth_message(),
+                message: ssd_diag::parse_depth_message(),
             });
         }
         let out = self.element_inner(g, parent);

@@ -49,6 +49,7 @@ mod spans;
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use ssd_diag::json::escape_into;
 use ssd_diag::{Code, Diagnostic};
 
 pub use scan::{functions, FnInfo, SourceFile, Workspace};
@@ -104,7 +105,7 @@ impl Report {
 
     /// Machine-readable rendering: one JSON object per finding, one
     /// per line, no summary — for `ssd lint --json`. Hand-formatted to
-    /// keep the crate dependency-free.
+    /// keep the crate free of a serializer dependency.
     pub fn render_json(&self) -> String {
         let mut out = String::new();
         for f in &self.findings {
@@ -117,14 +118,19 @@ impl Report {
                         .map(|src| lexer::line_of(src, s.start))
                 })
                 .unwrap_or(0);
+            let severity = if f.diag.is_error() {
+                "error"
+            } else {
+                "warning"
+            };
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}\n",
+                "{{\"code\":\"{}\",\"severity\":\"{severity}\",\"file\":\"",
                 f.diag.code.as_str(),
-                if f.diag.is_error() { "error" } else { "warning" },
-                json_escape(&f.file),
-                line,
-                json_escape(&f.diag.message),
             ));
+            escape_into(&f.file, &mut out);
+            out.push_str(&format!("\",\"line\":{line},\"message\":\""));
+            escape_into(&f.diag.message, &mut out);
+            out.push_str("\"}\n");
         }
         out
     }
@@ -141,23 +147,6 @@ impl Report {
             )
         }
     }
-}
-
-/// Minimal JSON string escaping for the `--json` rendering.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run all ten lints over the workspace rooted at `root`.

@@ -134,22 +134,21 @@ pub fn eval_decomposed_nfa(g: &Graph, nfa: &Nfa, partition: &Partition) -> Vec<N
         }
         // Expand every active site in parallel; each worker gets its own
         // site's visited set by mutable borrow.
-        let wave: Vec<WaveResult> = crossbeam::thread::scope(|scope| {
+        let wave: Vec<WaveResult> = std::thread::scope(|scope| {
             let handles: Vec<_> = site_visited
                 .iter_mut()
                 .zip(per_site.iter())
                 .enumerate()
                 .filter(|(_, (_, seeds))| !seeds.is_empty())
                 .map(|(site, (visited, seeds))| {
-                    scope.spawn(move |_| expand_site(g, nfa, partition, site, seeds, visited))
+                    scope.spawn(move || expand_site(g, nfa, partition, site, seeds, visited))
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("site worker"))
                 .collect()
-        })
-        .expect("crossbeam scope");
+        });
         // Communication round ([35]): exits seed the next wave.
         for w in wave {
             result.extend(w.accepting);
@@ -514,12 +513,12 @@ pub fn evaluate_select_parallel(
     for (i, m) in matches.into_iter().enumerate() {
         chunks[i % k].push(m);
     }
-    let partials: Vec<Result<Graph, String>> = crossbeam::thread::scope(|scope| {
+    let partials: Vec<Result<Graph, String>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .iter()
             .filter(|c| !c.is_empty())
             .map(|chunk| {
-                scope.spawn(move |_| -> Result<Graph, String> {
+                scope.spawn(move || -> Result<Graph, String> {
                     let mut acc = Graph::with_symbols(g.symbols_handle());
                     for (label, node) in chunk {
                         let (r, _) = evaluate_select_seeded(
@@ -542,8 +541,7 @@ pub fn evaluate_select_parallel(
             .into_iter()
             .map(|h| h.join().expect("select worker"))
             .collect()
-    })
-    .expect("crossbeam scope");
+    });
     let mut out = Graph::with_symbols(g.symbols_handle());
     for p in partials {
         let p = p?;

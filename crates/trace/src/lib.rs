@@ -26,6 +26,7 @@
 //! early exits via `?`, budget exhaustion, cancellation, and panics all
 //! still produce balanced traces ([`validate`] checks this invariant).
 
+use ssd_diag::json::escape_into;
 use ssd_guard::Guard;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -289,22 +290,6 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
     }
 }
 
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render one event as a single-line JSON object (the `--trace-out`
 /// format). Keys, in order: `seq`, `id`, `parent`, `kind`, `phase`,
 /// `name`, `fuel`, `mem`, `fields`.
@@ -321,7 +306,7 @@ pub fn event_to_json(e: &Event) -> String {
     out.push_str("\",\"phase\":\"");
     out.push_str(e.phase.as_str());
     out.push_str("\",\"name\":\"");
-    escape_json_into(e.name, &mut out);
+    escape_into(e.name, &mut out);
     out.push_str("\",\"fuel\":");
     out.push_str(&e.fuel.to_string());
     out.push_str(",\"mem\":");
@@ -332,14 +317,14 @@ pub fn event_to_json(e: &Event) -> String {
             out.push(',');
         }
         out.push('"');
-        escape_json_into(k, &mut out);
+        escape_into(k, &mut out);
         out.push_str("\":");
         match v {
             FieldValue::U64(n) => out.push_str(&n.to_string()),
             FieldValue::I64(n) => out.push_str(&n.to_string()),
             FieldValue::Str(s) => {
                 out.push('"');
-                escape_json_into(s, &mut out);
+                escape_into(s, &mut out);
                 out.push('"');
             }
         }

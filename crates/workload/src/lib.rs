@@ -9,7 +9,7 @@
 //! | scenario catalog | [`scenario`] | joins, σ-lookups, RPEs, closure, write txns, cancels |
 //! | open-loop serve driver | [`driver`] | real [`Server`](ssd_serve::server::Server), arrival rates, session churn, live telemetry |
 //! | deterministic replay | [`replay`] | same op sequence against the pure scheduler — the decision-trace witness |
-//! | artifact + regression gate | [`report`], [`json`] | `BENCH_workload.json` and the SSD060/061/062 checker |
+//! | artifact + regression gate | [`report`] (over `ssd_diag::json`) | `BENCH_workload.json` and the SSD060/061/062 checker |
 //!
 //! The two determinism witnesses an artifact carries:
 //! *graph fingerprint* (FNV-1a over the generated op stream) and
@@ -19,7 +19,6 @@
 
 pub mod driver;
 pub mod gen;
-pub mod json;
 pub mod replay;
 pub mod report;
 pub mod scenario;
@@ -30,6 +29,9 @@ use std::time::Instant;
 use ssd_serve::server::Server;
 use ssd_serve::ServeConfig;
 use ssd_trace::{phase_totals, Phase, SharedRing, Tracer};
+
+/// The JSON reader the baseline gate uses, under its old path.
+pub use ssd_diag::json;
 
 pub use driver::{drive, DriveConfig, DriveReport};
 pub use gen::{build_graph, fingerprint, GenConfig, Generator};

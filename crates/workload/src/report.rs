@@ -8,11 +8,11 @@
 //! rows, and the sampled telemetry timeline — the per-PR perf
 //! trajectory in one machine-readable file.
 
+use ssd_diag::json::{escape_into, Json};
 use ssd_diag::{Code, Diagnostic};
 
 use crate::driver::DriveReport;
 use crate::gen::GenConfig;
-use crate::json::Json;
 use crate::replay::ReplayReport;
 
 /// Schema version of `BENCH_workload.json`; bump on breaking changes.
@@ -32,10 +32,6 @@ pub struct BenchReport {
     pub load_ms: u64,
     pub replay: ReplayReport,
     pub drive: DriveReport,
-}
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 impl BenchReport {
@@ -80,6 +76,8 @@ impl BenchReport {
         }
         let m = &self.drive.metrics;
         let total_completed: u64 = self.drive.scenarios.iter().map(|s| s.latency.count()).sum();
+        let mut scenario = String::new();
+        escape_into(&self.scenario, &mut scenario);
         format!(
             "{{\n  \"experiment\": \"E21\",\n  \"schema_version\": {SCHEMA_VERSION},\n  \
              \"host_cores\": {},\n  \"scale\": {},\n  \"seed\": {},\n  \
@@ -96,7 +94,7 @@ impl BenchReport {
             self.host_cores,
             self.cfg.scale,
             self.cfg.seed,
-            esc(&self.scenario),
+            scenario,
             self.movies,
             self.nodes,
             self.edges,

@@ -3,6 +3,7 @@
 //! input is a `Result::Err`, deep input an SSD110 diagnostic.
 
 use proptest::prelude::*;
+use semistructured::diag::json::{escape_into, Json};
 use semistructured::graph::literal::{parse_graph, MAX_PARSE_DEPTH};
 use semistructured::query::lang::{parse_query, parse_rewrite};
 use semistructured::triples::datalog::parse_program;
@@ -22,6 +23,18 @@ proptest! {
     #[test]
     fn literal_parser_never_panics_on_braces(src in "[{}@=:,a-z0-9\" ]{0,256}") {
         let _ = parse_graph(&src);
+    }
+
+    /// Escaping then parsing is the identity on every string: control
+    /// characters, quotes, backslashes and non-BMP characters included.
+    #[test]
+    fn json_escape_then_parse_round_trips(
+        s in "[\u{0}-\u{1f}\"\\\\/a-z é\u{7f}\u{2028}\u{1F600}\u{10FFFF}]{0,64}"
+    ) {
+        let mut quoted = String::from("\"");
+        escape_into(&s, &mut quoted);
+        quoted.push('"');
+        prop_assert_eq!(Json::parse(&quoted), Ok(Json::Str(s)));
     }
 
     /// The JSON importer never panics.

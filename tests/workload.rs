@@ -181,6 +181,17 @@ fn checker_warns_on_incomparable_baselines_as_ssd062() {
 }
 
 #[test]
+fn checker_survives_pathologically_deep_baselines() {
+    // A million open brackets used to overflow the reader's stack; the
+    // shared parser caps nesting, so this is just an incomparable baseline.
+    let fresh = report(10_000, 0, 1_500, 100);
+    let out = check_against_baseline(&fresh, &"[".repeat(1_000_000));
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].code.as_str(), "SSD062");
+    assert!(!out[0].is_error());
+}
+
+#[test]
 fn bench_end_to_end_reproduces_both_witnesses() {
     // One real run per scenario mix is dear; keep it small and make it
     // count: every class present, zero unexpected errors, and a second
