@@ -165,8 +165,17 @@ printf 'HELLO\nINSERT {Entry: {Movie: {Title: "Durable"}}}\nCOMMIT\n' \
     | timeout 60 ./target/release/ssd client "$port" > "$w_out"
 grep -q "OK staged ops=1" "$w_out"
 grep -q "committed generation=1" "$w_out"   # client waits for DONE: fsynced
-kill -9 "$serve2_pid" 2>/dev/null || true
+# `$serve2_pid` is `timeout`'s pid; the server is its child. Kill the
+# server itself (killing `timeout` would orphan it, still serving the
+# data dir that phase 2 reopens) and make sure it is gone.
+ssd2_pid=$(pgrep -P "$serve2_pid" || true)
+[ -n "$ssd2_pid" ] || { echo "ci: store server process not found" >&2; exit 1; }
+kill -9 "$ssd2_pid"
 wait "$serve2_pid" 2>/dev/null || true
+if kill -0 "$ssd2_pid" 2>/dev/null; then
+    echo "ci: store server $ssd2_pid survived kill -9" >&2
+    exit 1
+fi
 # Phase 2: restart with a torn write injected into the next commit —
 # the deterministic stand-in for a crash mid-commit: a partial frame
 # reaches the disk, the COMMIT never does.
@@ -202,15 +211,33 @@ q_out=$(timeout 60 ./target/release/ssd serve examples/movies.ssd --port 0 \
         [ -n "$port" ] && break
         sleep 0.1
     done
-    printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\nSHUTDOWN\n' \
+    # The client leaves only once its job has settled, so the SHUTDOWN
+    # sent afterwards from a second session cannot cancel the query
+    # (SSD105).
+    printf 'HELLO\nQUERY select T from db.Entry.Movie.Title T\n' \
         | timeout 60 ./target/release/ssd client "$port"
+    printf 'SHUTDOWN\n' | timeout 60 ./target/release/ssd client "$port" >/dev/null
     wait "$serve4_pid" 2>/dev/null || true)
+echo "$q_out" | grep -q "^JOB [0-9][0-9]* DONE" # the query ran to completion
 echo "$q_out" | grep -q "Durable"           # the committed txn survived
 if echo "$q_out" | grep -q "Lost"; then
     echo "ci: uncommitted mutation visible after recovery" >&2
     exit 1
 fi
 rm -rf "$store_dir"; rm -f "$serve2_log" "$serve3_log" "$w_out" "$t_out"
+
+echo "== perfbench self-check" >&2
+# The repository benchmark is a package of its own; its tests check that
+# it still builds against the workspace and prints every metric
+# BENCHMARK.json names. The offline build rewrites perfbench/Cargo.lock,
+# so put the committed lock back afterwards, pass or fail.
+perfbench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$perfbench_lock"
+perfbench_ok=0
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml || perfbench_ok=$?
+cp "$perfbench_lock" perfbench/Cargo.lock
+rm -f "$perfbench_lock"
+[ "$perfbench_ok" -eq 0 ] || { echo "ci: perfbench self-check failed" >&2; exit 1; }
 
 echo "== workload bench regression gate (E21)" >&2
 # The committed BENCH_workload.json is the baseline; a fresh small-scale

@@ -17,7 +17,7 @@
 use crate::label::Label;
 use crate::symbol::{new_symbols, SymbolId, SymbolTable, Symbols};
 use crate::value::Value;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
@@ -169,17 +169,40 @@ impl Graph {
         node.edges.len() != before
     }
 
-    /// Replace the whole edge set of `n`.
-    pub fn set_edges(&mut self, n: NodeId, edges: Vec<Edge>) {
+    /// Replace the whole edge set of `n`. Duplicates are dropped, keeping
+    /// first occurrences in order; O(edges).
+    pub fn set_edges(&mut self, n: NodeId, mut edges: Vec<Edge>) {
         self.check(n);
-        let mut deduped: Vec<Edge> = Vec::with_capacity(edges.len());
-        for e in edges {
+        for e in &edges {
             self.check(e.to);
-            if !deduped.contains(&e) {
-                deduped.push(e);
-            }
         }
-        self.nodes[n.index()].edges = deduped;
+        dedup_tail(&mut edges, 0);
+        self.nodes[n.index()].edges = edges;
+    }
+
+    /// Add many edges out of `n` at once: the bulk form of
+    /// [`Graph::add_edge`]. New edges already in the set (or repeated
+    /// among themselves) are dropped, and the survivors keep their order
+    /// after the existing edges. O(existing + new), where a loop of
+    /// `add_edge` calls is O(new × fanout).
+    pub fn extend_edges(&mut self, n: NodeId, edges: impl IntoIterator<Item = Edge>) {
+        self.check(n);
+        let count = self.nodes.len();
+        let out = &mut self.nodes[n.index()].edges;
+        let known = out.len();
+        for e in edges {
+            debug_assert!(e.to.index() < count, "edge target {} out of range", e.to);
+            out.push(e);
+        }
+        dedup_tail(out, known);
+    }
+
+    /// A bulk loader over this graph: see [`EdgeLoader`].
+    pub fn loader(&mut self) -> EdgeLoader<'_> {
+        EdgeLoader {
+            graph: self,
+            unchecked: HashMap::new(),
+        }
     }
 
     /// The out-edges of `n`.
@@ -372,6 +395,91 @@ impl Graph {
         self.nodes = new_nodes;
         self.root = remap[&self.root];
         remap
+    }
+}
+
+/// Edge lists with at most this many edges still to check are
+/// deduplicated by a linear scan, which beats building a hash set there.
+const SCAN_MAX: usize = 16;
+
+/// Drop the duplicates in `edges[known..]`, keeping first occurrences in
+/// order. `edges[..known]` must already be duplicate-free. One transient
+/// hash set makes this O(len); nothing outlives the call.
+fn dedup_tail(edges: &mut Vec<Edge>, known: usize) {
+    if edges.len() - known <= SCAN_MAX {
+        let mut i = known;
+        while i < edges.len() {
+            if edges[..i].contains(&edges[i]) {
+                edges.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        return;
+    }
+    let mut seen = HashSet::with_capacity(edges.len());
+    let dups: Vec<usize> = (0..edges.len())
+        .filter(|&i| !seen.insert(&edges[i]))
+        .collect();
+    drop(seen);
+    let mut dups = dups.into_iter().peekable();
+    let mut i = 0;
+    edges.retain(|_| {
+        let dup = dups.next_if_eq(&i).is_some();
+        i += 1;
+        !dup
+    });
+}
+
+/// Bulk edge insertion with the set check deferred, for loading a stream
+/// of edges whose sources are interleaved (a root that gains one edge per
+/// record, say). Nodes with fewer than `SCAN_MAX` edges are checked on
+/// every insert as [`Graph::add_edge`] does; wider ones take edges
+/// unchecked and are deduplicated once, when the loader is dropped. Loading
+/// E edges is then O(E) rather than O(Σ fanout²). Edge order is the same
+/// as a sequence of `add_edge` calls would give.
+pub struct EdgeLoader<'g> {
+    graph: &'g mut Graph,
+    /// Nodes that took unchecked edges, each with the length of its edge
+    /// list when the first one arrived (the prefix that is still a set).
+    unchecked: HashMap<NodeId, usize>,
+}
+
+impl EdgeLoader<'_> {
+    /// Allocate a fresh node ([`Graph::add_node`]).
+    pub fn add_node(&mut self) -> NodeId {
+        self.graph.add_node()
+    }
+
+    /// Add edge `from --label--> to`; duplicates are gone by the time the
+    /// loader is dropped.
+    pub fn add_edge(&mut self, from: NodeId, label: Label, to: NodeId) {
+        self.graph.check(from);
+        self.graph.check(to);
+        let edges = &mut self.graph.nodes[from.index()].edges;
+        let edge = Edge { label, to };
+        if edges.len() < SCAN_MAX {
+            if !edges.contains(&edge) {
+                edges.push(edge);
+            }
+        } else {
+            self.unchecked.entry(from).or_insert(edges.len());
+            edges.push(edge);
+        }
+    }
+
+    /// Add an edge with a symbol label, interning `name`.
+    pub fn add_sym_edge(&mut self, from: NodeId, name: &str, to: NodeId) {
+        let label = Label::symbol(&self.graph.symbols, name);
+        self.add_edge(from, label, to);
+    }
+}
+
+impl Drop for EdgeLoader<'_> {
+    fn drop(&mut self) {
+        for (n, known) in self.unchecked.drain() {
+            dedup_tail(&mut self.graph.nodes[n.index()].edges, known);
+        }
     }
 }
 

@@ -44,7 +44,7 @@ pub mod value;
 pub mod variants;
 pub mod xml;
 
-pub use graph::{Edge, Graph, NodeId};
+pub use graph::{Edge, EdgeLoader, Graph, NodeId};
 pub use label::{Label, LabelKind};
 pub use symbol::{new_symbols, SymbolId, SymbolTable, Symbols};
 pub use value::{Value, ValueKind};

@@ -6,36 +6,23 @@
 //! model union is trivial: the union of two trees is a node whose edge set
 //! is the union of theirs.
 
-use crate::graph::{Graph, NodeId};
+use crate::graph::{Edge, Graph, NodeId};
 use crate::label::Label;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Union of two trees *within one graph*: a fresh node whose edges are the
 /// set-union of the edges of `a` and `b`. (UnQL's `∪`.)
 pub fn union(g: &mut Graph, a: NodeId, b: NodeId) -> NodeId {
-    let mut edges = g.edges(a).to_vec();
-    for e in g.edges(b) {
-        if !edges.contains(e) {
-            edges.push(e.clone());
-        }
-    }
-    let n = g.add_node();
-    g.set_edges(n, edges);
-    n
+    union_all(g, &[a, b])
 }
 
-/// Union of many trees.
+/// Union of many trees, in O(total edges).
 pub fn union_all(g: &mut Graph, parts: &[NodeId]) -> NodeId {
-    let mut edges = Vec::new();
-    for &p in parts {
-        for e in g.edges(p) {
-            if !edges.contains(e) {
-                edges.push(e.clone());
-            }
-        }
-    }
     let n = g.add_node();
-    g.set_edges(n, edges);
+    for &p in parts {
+        let edges = g.edges(p).to_vec();
+        g.extend_edges(n, edges);
+    }
     n
 }
 
@@ -54,26 +41,30 @@ pub fn singleton(g: &mut Graph, label: Label, sub: NodeId) -> NodeId {
 /// between databases (§1.2).
 pub fn copy_subgraph(src: &Graph, src_root: NodeId, dst: &mut Graph) -> NodeId {
     let shared = src.shares_symbols(dst);
-    let mut map: HashMap<NodeId, NodeId> = HashMap::new();
-    // Two phases so cycles work: allocate all images first, then wire edges.
-    let reachable = src.reachable_from(src_root);
-    for &n in &reachable {
-        let img = dst.add_node();
-        map.insert(n, img);
-    }
-    for &n in &reachable {
-        let from = map[&n];
+    // The image map doubles as the visited set, so the walk is
+    // O(copied subgraph), not O(|src|). Images are allocated in BFS
+    // discovery order and wired once their source node is dequeued, so
+    // cycles work.
+    let root_img = dst.add_node();
+    let mut map: HashMap<NodeId, NodeId> = HashMap::from([(src_root, root_img)]);
+    let mut queue = VecDeque::from([src_root]);
+    while let Some(n) = queue.pop_front() {
+        let mut edges = Vec::with_capacity(src.out_degree(n));
         for e in src.edges(n) {
             let label = if shared {
                 e.label.clone()
             } else {
                 translate_label(src, &e.label, dst)
             };
-            let to = map[&e.to];
-            dst.add_edge(from, label, to);
+            let to = *map.entry(e.to).or_insert_with(|| {
+                queue.push_back(e.to);
+                dst.add_node()
+            });
+            edges.push(Edge { label, to });
         }
+        dst.set_edges(map[&n], edges);
     }
-    map[&src_root]
+    root_img
 }
 
 /// Translate a label from `src`'s symbol table into `dst`'s.

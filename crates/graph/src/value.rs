@@ -232,13 +232,12 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(i) => write!(f, "{i}"),
-            Value::Real(r) => {
-                if r.fract() == 0.0 && r.is_finite() && r.abs() < 1e15 {
-                    write!(f, "{r:.1}")
-                } else {
-                    write!(f, "{r}")
-                }
-            }
+            // Integral reals keep a marker that they are reals: `3.0`,
+            // and `1e20` once plain digits would read back as an
+            // (out-of-range) int.
+            Value::Real(r) if r.fract() == 0.0 && r.abs() < 1e15 => write!(f, "{r:.1}"),
+            Value::Real(r) if r.fract() == 0.0 => write!(f, "{r:e}"),
+            Value::Real(r) => write!(f, "{r}"),
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Bool(b) => write!(f, "{b}"),
         }
@@ -359,6 +358,9 @@ mod tests {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::Real(1.5).to_string(), "1.5");
         assert_eq!(Value::Real(2.0).to_string(), "2.0");
+        assert_eq!(Value::Real(1e20).to_string(), "1e20");
+        assert_eq!(Value::Real(-1.5e15).to_string(), "-1.5e15");
+        assert_eq!(Value::Real(f64::INFINITY).to_string(), "inf");
         assert_eq!(Value::Str("a\"b".into()).to_string(), "\"a\\\"b\"");
         assert_eq!(Value::Bool(true).to_string(), "true");
     }

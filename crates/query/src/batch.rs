@@ -21,7 +21,7 @@
 //!   the interpreter's own [`eval_cond`] — semantically the
 //!   no-pushdown interpreter, so *any* condition is batchable.
 //! * **Project** feeds each surviving assignment through the
-//!   interpreter's constructor ([`construct_edges`]), so result graphs
+//!   interpreter's constructor ([`ResultBuilder`]), so result graphs
 //!   are built by exactly the same code in both paths.
 //!
 //! The planner ([`plan_access`]) decides per query whether this path
@@ -37,8 +37,8 @@
 
 use crate::lang::ast::{Cond, SelectQuery, Source};
 use crate::lang::eval::{
-    binding_profiles, construct_edges, eval_cond, exh, finish_select_trace, note_truncation,
-    BindVal, EvalOptions, EvalStats, CONSTRUCT_COST,
+    binding_profiles, eval_cond, exh, finish_select_trace, note_truncation, BindVal, EvalOptions,
+    EvalStats, ResultBuilder, CONSTRUCT_COST,
 };
 use crate::rpe::Rpe;
 use ssd_diag::{Code, Diagnostic};
@@ -448,7 +448,7 @@ pub fn evaluate_batched(
     if plan.bindings.len() != query.bindings.len() {
         return Err("access plan does not match query bindings".to_owned());
     }
-    let mut result = Graph::with_symbols(g.symbols_handle());
+    let mut result = ResultBuilder::new(g);
     let mut stats = EvalStats {
         warnings: analysis
             .diagnostics
@@ -612,8 +612,6 @@ pub fn evaluate_batched(
     // Project: construct one result tree per surviving assignment.
     {
         let mut op = ssd_trace::span(opts.tracer, Phase::Index, "project", Some(guard));
-        let atom_leaf = result.add_node();
-        let mut copy_memo: HashMap<NodeId, NodeId> = HashMap::new();
         let mut rows = 0u64;
         for batch in &batches {
             if !live {
@@ -637,24 +635,13 @@ pub fn evaluate_batched(
                 }
                 stats.results_constructed += 1;
                 rows += 1;
-                let edges = construct_edges(
-                    g,
-                    &query.construct,
-                    &env,
-                    &mut result,
-                    atom_leaf,
-                    &mut copy_memo,
-                )?;
-                let root = result.root();
-                for (label, to) in edges {
-                    result.add_edge(root, label, to);
-                }
+                result.add_row(g, &query.construct, &env)?;
             }
         }
         op.field("rows", rows);
     }
 
-    result.gc();
+    let result = result.finish();
     note_truncation(guard, &mut stats);
     finish_select_trace(opts.tracer, &mut sp, &stats);
     Ok((result, stats))

@@ -18,7 +18,7 @@ use crate::rpe::eval::{eval_nfa_guarded, eval_rpe_guarded};
 use crate::rpe::{Nfa, Rpe};
 use ssd_diag::{Code, Diagnostic};
 use ssd_graph::ops::copy_subgraph;
-use ssd_graph::{Graph, Label, LabelKind, NodeId, Value};
+use ssd_graph::{Edge, Graph, Label, LabelKind, NodeId, Value};
 use ssd_guard::{Exhausted, Guard};
 use ssd_schema::DataGuide;
 use ssd_trace::{Phase, Tracer};
@@ -166,7 +166,7 @@ pub fn evaluate_select(
             .collect();
         return Err(errors.join("; "));
     }
-    let mut result = Graph::with_symbols(g.symbols_handle());
+    let mut result = ResultBuilder::new(g);
     let mut stats = EvalStats {
         warnings: analysis
             .diagnostics
@@ -230,7 +230,7 @@ pub fn evaluate_select(
                     stats.guide_pruned += 1;
                     let _ = i;
                     // Empty result.
-                    return Ok((result, stats));
+                    return Ok((result.finish(), stats));
                 }
             }
         }
@@ -261,11 +261,6 @@ pub fn evaluate_select(
         .collect();
 
     let mut env: HashMap<String, BindVal> = HashMap::new();
-    // One shared leaf for all constructed atoms: equal atoms then produce
-    // identical (label, node) edges, which the edge-set union dedupes —
-    // matching the model's set semantics.
-    let atom_leaf = result.add_node();
-    let mut copy_memo: HashMap<NodeId, NodeId> = HashMap::new();
     let outcome = enumerate(
         g,
         query,
@@ -277,8 +272,6 @@ pub fn evaluate_select(
         0,
         &mut env,
         &mut result,
-        atom_leaf,
-        &mut copy_memo,
         &mut stats,
     );
     if let Err(why) = &outcome {
@@ -290,7 +283,7 @@ pub fn evaluate_select(
         );
     }
     outcome?;
-    result.gc();
+    let result = result.finish();
     note_truncation(guard, &mut stats);
     finish_select_trace(opts.tracer, &mut sp, &stats);
     Ok((result, stats))
@@ -393,7 +386,7 @@ pub fn evaluate_select_seeded(
     let unlimited = Guard::unlimited();
     let guard = opts.guard.unwrap_or(&unlimited);
     let mut sp = ssd_trace::span(opts.tracer, Phase::Eval, "select.seeded", Some(guard));
-    let mut result = Graph::with_symbols(g.symbols_handle());
+    let mut result = ResultBuilder::new(g);
     let mut stats = EvalStats {
         per_binding: binding_profiles(query),
         ..EvalStats::default()
@@ -444,13 +437,10 @@ pub fn evaluate_select_seeded(
     if opts.pushdown {
         for (ci, c) in conjuncts.iter().enumerate() {
             if bound_after[ci] == 1 && !eval_cond(g, c, &env, guard, &mut stats)? {
-                result.gc();
-                return Ok((result, stats));
+                return Ok((result.finish(), stats));
             }
         }
     }
-    let atom_leaf = result.add_node();
-    let mut copy_memo: HashMap<NodeId, NodeId> = HashMap::new();
     let outcome = enumerate(
         g,
         query,
@@ -462,8 +452,6 @@ pub fn evaluate_select_seeded(
         1, // skip binding 0: it is seeded
         &mut env,
         &mut result,
-        atom_leaf,
-        &mut copy_memo,
         &mut stats,
     );
     if let Err(why) = &outcome {
@@ -475,7 +463,7 @@ pub fn evaluate_select_seeded(
         );
     }
     outcome?;
-    result.gc();
+    let result = result.finish();
     note_truncation(guard, &mut stats);
     finish_select_trace(opts.tracer, &mut sp, &stats);
     Ok((result, stats))
@@ -492,9 +480,7 @@ fn enumerate(
     guard: &Guard,
     depth: usize,
     env: &mut HashMap<String, BindVal>,
-    result: &mut Graph,
-    atom_leaf: NodeId,
-    copy_memo: &mut HashMap<NodeId, NodeId>,
+    result: &mut ResultBuilder,
     stats: &mut EvalStats,
 ) -> Result<(), String> {
     if !(guard.tick(1).map_err(exh)? && guard.enter_depth(depth).map_err(exh)?) {
@@ -515,11 +501,7 @@ fn enumerate(
             return Ok(());
         }
         stats.results_constructed += 1;
-        let edges = construct_edges(g, &query.construct, env, result, atom_leaf, copy_memo)?;
-        let root = result.root();
-        for (label, to) in edges {
-            result.add_edge(root, label, to);
-        }
+        result.add_row(g, &query.construct, env)?;
         return Ok(());
     }
     if !guard.fail_point(FP_SELECT_BINDING).map_err(exh)? {
@@ -618,8 +600,6 @@ fn enumerate(
                 depth + 1,
                 env,
                 result,
-                atom_leaf,
-                copy_memo,
                 stats,
             )?;
         }
@@ -631,80 +611,134 @@ fn enumerate(
     Ok(())
 }
 
-/// Evaluate a constructor to the edge set it contributes at the top level.
-pub(crate) fn construct_edges(
-    g: &Graph,
-    c: &Construct,
-    env: &HashMap<String, BindVal>,
-    result: &mut Graph,
+/// A select result under construction, shared by both engines. Each
+/// row's top-level edges are queued and inserted into the root once, in
+/// [`ResultBuilder::finish`]: one hashed dedup over all rows instead of a
+/// scan of the growing root per row.
+pub(crate) struct ResultBuilder {
+    graph: Graph,
+    /// One shared leaf for all constructed atoms: equal atoms then
+    /// produce identical (label, node) edges, which the edge-set union
+    /// dedupes — matching the model's set semantics.
     atom_leaf: NodeId,
-    copy_memo: &mut HashMap<NodeId, NodeId>,
-) -> Result<Vec<(Label, NodeId)>, String> {
-    match c {
-        Construct::Node(entries) => {
-            let mut out = Vec::with_capacity(entries.len());
-            for (lx, sub) in entries {
-                let label = eval_label_expr(g, lx, env)?;
-                let node = construct_node(g, sub, env, result, atom_leaf, copy_memo)?;
-                out.push((label, node));
-            }
-            Ok(out)
-        }
-        Construct::Var(v) => match env.get(v) {
-            Some(BindVal::Tree(n)) => {
-                // Union semantics: contribute the node's edges (copied).
-                let copied = copy_into(g, *n, result, copy_memo);
-                Ok(result
-                    .edges(copied)
-                    .to_vec()
-                    .into_iter()
-                    .map(|e| (e.label, e.to))
-                    .collect())
-            }
-            Some(BindVal::Label(l)) => {
-                // A label contributes itself as a value edge.
-                Ok(vec![(label_as_value(l, g), atom_leaf)])
-            }
-            None => Err(format!("unbound variable {v} in construct")),
-        },
-        Construct::Atom(v) => Ok(vec![(Label::Value(v.clone()), atom_leaf)]),
-    }
+    /// Data node → its copy in `graph`, so repeated references to one
+    /// data subtree share structure across rows.
+    copy_memo: HashMap<NodeId, NodeId>,
+    /// Top-level edges of the rows so far, in row order, duplicates
+    /// included.
+    root_edges: Vec<Edge>,
 }
 
-/// Evaluate a constructor to a node in the result graph.
-fn construct_node(
-    g: &Graph,
-    c: &Construct,
-    env: &HashMap<String, BindVal>,
-    result: &mut Graph,
-    atom_leaf: NodeId,
-    copy_memo: &mut HashMap<NodeId, NodeId>,
-) -> Result<NodeId, String> {
-    match c {
-        Construct::Node(entries) => {
-            let n = result.add_node();
-            for (lx, sub) in entries {
-                let label = eval_label_expr(g, lx, env)?;
-                let node = construct_node(g, sub, env, result, atom_leaf, copy_memo)?;
-                result.add_edge(n, label, node);
-            }
-            Ok(n)
+impl ResultBuilder {
+    pub(crate) fn new(g: &Graph) -> ResultBuilder {
+        let mut graph = Graph::with_symbols(g.symbols_handle());
+        let atom_leaf = graph.add_node();
+        ResultBuilder {
+            graph,
+            atom_leaf,
+            copy_memo: HashMap::new(),
+            root_edges: Vec::new(),
         }
-        Construct::Var(v) => match env.get(v) {
-            Some(BindVal::Tree(n)) => Ok(copy_into(g, *n, result, copy_memo)),
-            Some(BindVal::Label(l)) => {
-                let n = result.add_node();
-                let label = label_as_value(l, g);
-                result.add_edge(n, label, atom_leaf);
+    }
+
+    /// Evaluate the constructor for one assignment and queue the edge set
+    /// it contributes at the top level.
+    pub(crate) fn add_row(
+        &mut self,
+        g: &Graph,
+        c: &Construct,
+        env: &HashMap<String, BindVal>,
+    ) -> Result<(), String> {
+        match c {
+            Construct::Node(entries) => {
+                for (lx, sub) in entries {
+                    let label = eval_label_expr(g, lx, env)?;
+                    let to = self.node(g, sub, env)?;
+                    self.root_edges.push(Edge { label, to });
+                }
+            }
+            Construct::Var(v) => match env.get(v) {
+                Some(BindVal::Tree(n)) => {
+                    // Union semantics: contribute the node's edges (copied).
+                    let copied = self.copy(g, *n);
+                    self.root_edges.extend_from_slice(self.graph.edges(copied));
+                }
+                Some(BindVal::Label(l)) => {
+                    // A label contributes itself as a value edge.
+                    let label = label_as_value(l, g);
+                    self.root_edges.push(Edge {
+                        label,
+                        to: self.atom_leaf,
+                    });
+                }
+                None => return Err(format!("unbound variable {v} in construct")),
+            },
+            Construct::Atom(v) => self.root_edges.push(Edge {
+                label: Label::Value(v.clone()),
+                to: self.atom_leaf,
+            }),
+        }
+        Ok(())
+    }
+
+    /// The result graph: the queued root edges inserted as one set (first
+    /// occurrences, in row order), and nothing the root does not reach.
+    pub(crate) fn finish(mut self) -> Graph {
+        let root = self.graph.root();
+        self.graph.extend_edges(root, self.root_edges);
+        self.graph.gc();
+        self.graph
+    }
+
+    /// Evaluate a constructor to a node in the result graph.
+    fn node(
+        &mut self,
+        g: &Graph,
+        c: &Construct,
+        env: &HashMap<String, BindVal>,
+    ) -> Result<NodeId, String> {
+        match c {
+            Construct::Node(entries) => {
+                let n = self.graph.add_node();
+                for (lx, sub) in entries {
+                    let label = eval_label_expr(g, lx, env)?;
+                    let node = self.node(g, sub, env)?;
+                    self.graph.add_edge(n, label, node);
+                }
                 Ok(n)
             }
-            None => Err(format!("unbound variable {v} in construct")),
-        },
-        Construct::Atom(v) => {
-            let n = result.add_node();
-            result.add_edge(n, Label::Value(v.clone()), atom_leaf);
-            Ok(n)
+            Construct::Var(v) => match env.get(v) {
+                Some(BindVal::Tree(n)) => Ok(self.copy(g, *n)),
+                Some(BindVal::Label(l)) => {
+                    let n = self.graph.add_node();
+                    let label = label_as_value(l, g);
+                    self.graph.add_edge(n, label, self.atom_leaf);
+                    Ok(n)
+                }
+                None => Err(format!("unbound variable {v} in construct")),
+            },
+            Construct::Atom(v) => {
+                let n = self.graph.add_node();
+                self.graph
+                    .add_edge(n, Label::Value(v.clone()), self.atom_leaf);
+                Ok(n)
+            }
         }
+    }
+
+    /// Copy a subtree from the data graph into the result graph
+    /// (cycle-safe; memoized so repeated references share structure).
+    fn copy(&mut self, g: &Graph, n: NodeId) -> NodeId {
+        if let Some(&img) = self.copy_memo.get(&n) {
+            return img;
+        }
+        let img = copy_subgraph(g, n, &mut self.graph);
+        // copy_subgraph doesn't expose its internal map; record at least
+        // the root image. (Sharing *within* one copy is preserved by
+        // copy_subgraph; sharing across separate construct evaluations
+        // is preserved by this memo.)
+        self.copy_memo.insert(n, img);
+        img
     }
 }
 
@@ -722,26 +756,6 @@ fn eval_label_expr(
             None => Err(format!("unbound label variable ^{v}")),
         },
     }
-}
-
-/// Copy a subtree from the data graph into the result graph (cycle-safe,
-/// memoized so repeated references share structure).
-fn copy_into(
-    g: &Graph,
-    n: NodeId,
-    result: &mut Graph,
-    memo: &mut HashMap<NodeId, NodeId>,
-) -> NodeId {
-    if let Some(&img) = memo.get(&n) {
-        return img;
-    }
-    let img = copy_subgraph(g, n, result);
-    // copy_subgraph doesn't expose its internal map; record at least the
-    // root image. (Sharing *within* one copy is preserved by
-    // copy_subgraph; sharing across separate construct evaluations is
-    // preserved by this memo.)
-    memo.insert(n, img);
-    img
 }
 
 /// View a bound label as a value label for use in atom positions: value

@@ -403,24 +403,28 @@ pub fn build_graph(cfg: &GenConfig) -> Graph {
 }
 
 /// Apply a stream of ops to a graph whose next allocated node id is the
-/// first `Node { id }` in the stream.
+/// first `Node { id }` in the stream. O(ops): edges go through one
+/// [`ssd_graph::EdgeLoader`], so the root, which gains an edge per
+/// movie, is deduplicated once instead of scanned per insert. Every edge
+/// set is a set again when this returns.
 pub fn apply_ops(g: &mut Graph, ops: impl Iterator<Item = GenOp>) {
+    let mut load = g.loader();
     for op in ops {
         match op {
             GenOp::Node { id } => {
-                let n = g.add_node();
+                let n = load.add_node();
                 debug_assert_eq!(n.index() as u64, id, "generator id arithmetic drifted");
                 let _ = (n, id);
             }
             GenOp::SymEdge { from, name, to } => {
-                g.add_sym_edge(node(from), name, node(to));
+                load.add_sym_edge(node(from), name, node(to));
             }
             GenOp::ValEdge { from, value, to } => {
                 let v = match value {
                     GenValue::Str(s) => ssd_graph::Value::from(s),
                     GenValue::Int(i) => ssd_graph::Value::from(i),
                 };
-                g.add_edge(node(from), Label::Value(v), node(to));
+                load.add_edge(node(from), Label::Value(v), node(to));
             }
         }
     }

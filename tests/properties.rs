@@ -11,6 +11,7 @@ use semistructured::graph::bisim::{
 };
 use semistructured::graph::literal::{parse_graph, write_graph};
 use semistructured::graph::ops;
+use semistructured::graph::Edge;
 use semistructured::query::decompose::{eval_decomposed_nfa, Partition};
 use semistructured::query::recursion::{gext, EdgeTemplate, Transducer};
 use semistructured::query::rpe::eval::eval_nfa;
@@ -510,5 +511,168 @@ proptest! {
             &Rpe::seq(vec![Rpe::step(Step::wildcard()).star(), Rpe::symbol("a")]),
         );
         prop_assert!(hits.is_empty());
+    }
+}
+
+// ---------- edge-set construction: hashed bulk paths vs linear scan ---------
+
+/// The original set semantics of an edge list: scan what is kept so far
+/// and keep an edge only if it is not there yet.
+fn linear_dedup(edges: &[Edge]) -> Vec<Edge> {
+    let mut out: Vec<Edge> = Vec::new();
+    for e in edges {
+        if !out.contains(e) {
+            out.push(e.clone());
+        }
+    }
+    out
+}
+
+/// Edge lists over few labels and few targets, so duplicates are common;
+/// lengths run well past the point where the bulk paths switch from a
+/// scan to a hash set.
+fn arb_edge_specs() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    proptest::collection::vec((0usize..9, 0usize..6), 0..120)
+}
+
+/// The edges `specs` names among `nodes`, labels drawn from a small pool.
+fn edges_among(g: &Graph, nodes: &[NodeId], specs: &[(usize, usize)]) -> Vec<Edge> {
+    specs
+        .iter()
+        .map(|&(label, to)| Edge {
+            label: match label {
+                0..=2 => Label::symbol(g.symbols(), LABELS[label]),
+                3..=5 => Label::int(label as i64),
+                6 => Label::value(Value::Real(-0.0)),
+                7 => Label::value(Value::Real(0.0)),
+                _ => Label::str("s"),
+            },
+            to: nodes[to % nodes.len()],
+        })
+        .collect()
+}
+
+/// Edge lists compared by their debug rendering, which tells `0.0` from
+/// `-0.0` where `==` does not: the kept occurrence must be the first.
+fn show(edges: &[Edge]) -> String {
+    format!("{edges:?}")
+}
+
+fn fresh_nodes(g: &mut Graph, n: usize) -> Vec<NodeId> {
+    (0..n).map(|_| g.add_node()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `set_edges` keeps the first occurrence of every edge, in order.
+    #[test]
+    fn set_edges_matches_linear_dedup(specs in arb_edge_specs()) {
+        let mut g = Graph::new();
+        let nodes = fresh_nodes(&mut g, 6);
+        let edges = edges_among(&g, &nodes, &specs);
+        g.set_edges(nodes[0], edges.clone());
+        prop_assert_eq!(show(g.edges(nodes[0])), show(&linear_dedup(&edges)));
+        prop_assert!(g.validate().is_ok());
+    }
+
+    /// `extend_edges` on a node that already has edges is the set union,
+    /// old edges first, in the order `add_edge` calls would give.
+    #[test]
+    fn extend_edges_matches_linear_dedup(
+        old in arb_edge_specs(),
+        new in arb_edge_specs(),
+    ) {
+        let mut g = Graph::new();
+        let nodes = fresh_nodes(&mut g, 6);
+        let old = edges_among(&g, &nodes, &old);
+        let new = edges_among(&g, &nodes, &new);
+        g.set_edges(nodes[0], old.clone());
+        g.extend_edges(nodes[0], new.clone());
+        let mut one_by_one = Graph::new();
+        let ids = fresh_nodes(&mut one_by_one, 6);
+        for e in old.iter().chain(&new) {
+            one_by_one.add_edge(ids[0], e.label.clone(), e.to);
+        }
+        let all: Vec<Edge> = old.into_iter().chain(new).collect();
+        prop_assert_eq!(show(g.edges(nodes[0])), show(&linear_dedup(&all)));
+        prop_assert_eq!(show(g.edges(nodes[0])), show(one_by_one.edges(ids[0])));
+    }
+
+    /// `union` and `union_all` build the same edge list as scanning the
+    /// concatenation of their parts.
+    #[test]
+    fn union_and_union_all_match_linear_dedup(
+        a in arb_edge_specs(),
+        b in arb_edge_specs(),
+        c in arb_edge_specs(),
+    ) {
+        let mut g = Graph::new();
+        let nodes = fresh_nodes(&mut g, 6);
+        let parts: Vec<Vec<Edge>> = [a, b, c]
+            .iter()
+            .map(|s| edges_among(&g, &nodes, s))
+            .collect();
+        let holders = fresh_nodes(&mut g, 3);
+        for (h, edges) in holders.iter().zip(&parts) {
+            g.set_edges(*h, edges.clone());
+        }
+        let sets: Vec<Vec<Edge>> = parts.iter().map(|p| linear_dedup(p)).collect();
+        let u = ops::union(&mut g, holders[0], holders[1]);
+        let ab: Vec<Edge> = sets[0].iter().chain(&sets[1]).cloned().collect();
+        prop_assert_eq!(show(g.edges(u)), show(&linear_dedup(&ab)));
+        let u = ops::union_all(&mut g, &holders);
+        let abc: Vec<Edge> = sets.concat();
+        prop_assert_eq!(show(g.edges(u)), show(&linear_dedup(&abc)));
+        prop_assert!(g.validate().is_ok());
+    }
+
+    /// An `EdgeLoader` fed an interleaved stream leaves every node with
+    /// exactly the edges, in the order, that `add_edge` calls would.
+    #[test]
+    fn edge_loader_matches_add_edge(
+        specs in proptest::collection::vec((0usize..3, 0usize..9, 0usize..6), 0..300),
+    ) {
+        let mut loaded = Graph::new();
+        let mut plain = Graph::new();
+        let nodes = fresh_nodes(&mut loaded, 6);
+        prop_assert_eq!(fresh_nodes(&mut plain, 6), nodes.clone());
+        let edges = edges_among(
+            &loaded,
+            &nodes,
+            &specs.iter().map(|&(_, l, t)| (l, t)).collect::<Vec<_>>(),
+        );
+        {
+            let mut load = loaded.loader();
+            for (&(from, _, _), e) in specs.iter().zip(&edges) {
+                load.add_edge(nodes[from], e.label.clone(), e.to);
+            }
+        }
+        for (&(from, _, _), e) in specs.iter().zip(&edges) {
+            plain.add_edge(nodes[from], e.label.clone(), e.to);
+        }
+        for &n in &nodes {
+            prop_assert_eq!(show(loaded.edges(n)), show(plain.edges(n)));
+        }
+        prop_assert!(loaded.validate().is_ok());
+    }
+
+    /// The literal writer prints every finite real so that the parser
+    /// reads back the same real, integral ones beyond 1e15 included.
+    #[test]
+    fn literal_write_parse_round_trips_finite_reals(
+        r in prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (any::<i32>(), 0i32..40).prop_map(|(m, e)| m as f64 * 10f64.powi(e)),
+            (any::<i64>(), 0i32..20).prop_map(|(m, e)| m as f64 / 10f64.powi(e)),
+        ],
+    ) {
+        prop_assume!(r.is_finite());
+        let mut g = Graph::new();
+        g.add_attr(g.root(), "x", Value::Real(r));
+        let text = write_graph(&g);
+        let back = parse_graph(&text).map_err(|e| TestCaseError::Fail(format!("{text}: {e}")))?;
+        let x = back.successors_by_name(back.root(), "x")[0];
+        prop_assert_eq!(back.atomic_value(x), Some(&Value::Real(r)), "{}", text);
     }
 }

@@ -231,3 +231,55 @@ fn single_scenario_runs_stay_single() {
     );
     assert_eq!(rep.cancelled, 0);
 }
+
+#[test]
+fn select_results_on_a_generated_graph_are_sets_in_both_engines() {
+    // The generator's root and every select result root are wide nodes,
+    // so they are built by the bulk edge paths. At 10^4 edges: the loaded
+    // graph and every result are proper sets, the batched and interpreted
+    // engines agree up to bisimulation, and each result root has the fanout
+    // the generator's arithmetic predicts.
+    use semistructured::graph::bisim::graphs_bisimilar;
+    use semistructured::query::{evaluate_batched, evaluate_select, parse_query, plan_access};
+    use semistructured::{Database, EvalOptions, Graph};
+
+    let cfg = GenConfig::new(10_000, 42);
+    let db = Database::new(gen::build_graph(&cfg));
+    let g = db.graph();
+    g.validate().expect("generated graph is a set");
+    // One `Entry` per movie, plus the `Genres` table.
+    assert_eq!(g.out_degree(g.root()), cfg.movies() as usize + 1);
+    let index = db.triple_index().expect("triple index");
+    let opts = EvalOptions::default();
+    let movies = cfg.movies() as usize;
+    let rpe = format!("select X from db.{} X", Scenario::Rpe3.text(&cfg, 0));
+    let cases = [
+        (Scenario::SelectJoin.text(&cfg, 0), 2 * movies),
+        (rpe, movies),
+        ("select X from db.Entry.%*.Title X".to_owned(), movies),
+    ];
+    let mut titles: Option<Graph> = None;
+    for (text, rows) in cases {
+        let q = parse_query(&text).expect("query parses");
+        let (interp, _) = evaluate_select(g, &q, &opts).expect("interpreter");
+        interp.validate().expect("interpreted result is a set");
+        assert_eq!(interp.out_degree(interp.root()), rows, "{text}");
+        match plan_access(g, index, db.plan_stats(), &q) {
+            Ok(plan) => {
+                let (batched, _) = evaluate_batched(g, index, &q, &plan, &opts).expect("batched");
+                batched.validate().expect("batched result is a set");
+                assert_eq!(batched.out_degree(batched.root()), rows, "{text}");
+                assert!(graphs_bisimilar(&batched, &interp), "{text}");
+            }
+            // `%*` has no batched plan; its titles are the 3-step path's.
+            Err(why) => {
+                assert!(text.contains("%*"), "{text} has no batched plan: {why}");
+                let path = titles.as_ref().expect("3-step result came first");
+                assert!(graphs_bisimilar(path, &interp), "{text}");
+            }
+        }
+        if rows == movies {
+            titles.get_or_insert(interp);
+        }
+    }
+}
