@@ -272,20 +272,25 @@ fn e05() {
 fn e06() {
     header("E6 — graph datalog: semi-naive vs naive (transitive closure)");
     println!(
-        "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
-        "pages", "|path|", "semi µs", "naive µs", "semi evals", "naive evals"
+        "{:>8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>12}",
+        "pages", "|path|", "index µs", "semi µs", "naive µs", "semi evals", "naive evals"
     );
     for &pages in &[30usize, 60, 120] {
-        let g = web(pages);
-        let store = TripleStore::from_graph(&g);
-        let program = parse_program(TC, g.symbols()).unwrap();
+        let db = Database::new(web(pages));
+        let store = db.triples();
+        let program = parse_program(TC, db.graph().symbols()).unwrap();
+        // The production path: semi-naive over the cached triple index.
+        let indexed = db.datalog(TC).unwrap();
         let semi = evaluate(&program, &store).unwrap();
         let naive = evaluate_naive(&program, &store).unwrap();
         assert_eq!(semi.facts.get("path"), naive.facts.get("path"));
-        let t_semi = time_us(3, || evaluate(&program, &store).unwrap());
-        let t_naive = time_us(3, || evaluate_naive(&program, &store).unwrap());
+        assert_eq!(indexed.facts.get("path"), naive.facts.get("path"));
+        // All three succeeded above; the timed runs repeat them.
+        let t_index = time_us(3, || db.datalog(TC));
+        let t_semi = time_us(3, || evaluate(&program, &store));
+        let t_naive = time_us(3, || evaluate_naive(&program, &store));
         println!(
-            "{pages:>8} {:>10} {t_semi:>12.1} {t_naive:>12.1} {:>12} {:>12}",
+            "{pages:>8} {:>10} {t_index:>12.1} {t_semi:>12.1} {t_naive:>12.1} {:>12} {:>12}",
             semi.count("path"),
             semi.rule_evaluations,
             naive.rule_evaluations

@@ -1584,12 +1584,20 @@ fn cmd_datalog(
     guard: &Guard,
     tracer: Option<&semistructured::trace::Tracer>,
 ) -> Result<String, CliError> {
-    let eval = if tracer.is_some() {
+    let mut eval = if tracer.is_some() {
         db.datalog_traced(program, Some(guard), tracer)
     } else {
         db.datalog_with(program, guard)
     }
     .map_err(CliError::Failed)?;
+    let is_edb = |p: &str| matches!(p, "edge" | "node" | "root");
+    // The evaluation reads `edge` (and `node`, unless the program
+    // mentions it) from the triple index: list a requested one from the
+    // store-backed EDB.
+    if let Some(p) = pred.filter(|p| is_edb(p) && !eval.facts.contains_key(*p)) {
+        let mut edb = semistructured::triples::datalog::edb_from_store(&db.triples());
+        eval.facts.extend(edb.remove_entry(p));
+    }
     let mut out = String::new();
     if eval.truncated.is_some() {
         out = prepend_truncation(guard, out);
@@ -1601,7 +1609,7 @@ fn cmd_datalog(
             continue;
         }
         // Skip the EDB unless explicitly requested.
-        if pred.is_none() && matches!(p.as_str(), "edge" | "node" | "root") {
+        if pred.is_none() && is_edb(p) {
             continue;
         }
         out.push_str(&format!("{p}: {} tuple(s)\n", eval.count(p)));
@@ -1779,6 +1787,75 @@ mod tests {
         .unwrap();
         assert!(out.contains("reach:"));
         assert!(out.contains("iteration"));
+    }
+
+    /// `ssd datalog DATA PROGRAM edge|node|root` prints the EDB relation
+    /// although the evaluation reads `edge` from the triple index and
+    /// does not copy it: count, first tuples and their order are pinned
+    /// to what the set-backed EDB printed on the shipped example.
+    #[test]
+    fn datalog_prints_edb_relations_on_request() {
+        let movies = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/movies.ssd");
+        let program = "reach(X) :- root(X).\nreach(Y) :- reach(X), edge(X, _L, Y).";
+        let edb = |pred: &str| run_str(&["datalog", movies, program, pred], "").unwrap();
+        assert_eq!(
+            edb("edge"),
+            "edge: 57 tuple(s)\n  \
+             (&0, Symbol(SymbolId(6)), &1)\n  \
+             (&0, Symbol(SymbolId(6)), &2)\n  \
+             (&0, Symbol(SymbolId(6)), &3)\n  \
+             (&0, Symbol(SymbolId(6)), &4)\n  \
+             (&0, Symbol(SymbolId(6)), &5)\n  \
+             (&1, Symbol(SymbolId(5)), &6)\n  \
+             (&2, Symbol(SymbolId(5)), &7)\n  \
+             (&3, Symbol(SymbolId(5)), &8)\n  \
+             (&4, Symbol(SymbolId(5)), &9)\n  \
+             (&5, Symbol(SymbolId(9)), &10)\n  \
+             (&6, Symbol(SymbolId(0)), &11)\n  \
+             (&6, Symbol(SymbolId(2)), &12)\n  \
+             (&6, Symbol(SymbolId(3)), &13)\n  \
+             (&6, Symbol(SymbolId(4)), &14)\n  \
+             (&7, Symbol(SymbolId(0)), &15)\n  \
+             (&7, Symbol(SymbolId(2)), &16)\n  \
+             (&7, Symbol(SymbolId(4)), &17)\n  \
+             (&8, Symbol(SymbolId(0)), &18)\n  \
+             (&8, Symbol(SymbolId(2)), &19)\n  \
+             (&8, Symbol(SymbolId(3)), &20)\n  \
+             ...\n\
+             -- 8 iteration(s), 9 rule evaluation(s)"
+        );
+        assert_eq!(
+            edb("node"),
+            "node: 58 tuple(s)\n  \
+             (&0)\n  \
+             (&1)\n  \
+             (&2)\n  \
+             (&3)\n  \
+             (&4)\n  \
+             (&5)\n  \
+             (&6)\n  \
+             (&7)\n  \
+             (&8)\n  \
+             (&9)\n  \
+             (&10)\n  \
+             (&11)\n  \
+             (&12)\n  \
+             (&13)\n  \
+             (&14)\n  \
+             (&15)\n  \
+             (&16)\n  \
+             (&17)\n  \
+             (&18)\n  \
+             (&19)\n  \
+             ...\n\
+             -- 8 iteration(s), 9 rule evaluation(s)"
+        );
+        assert_eq!(
+            edb("root"),
+            "root: 1 tuple(s)\n  \
+             (&0)\n\
+             -- 8 iteration(s), 9 rule evaluation(s)"
+        );
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! | workload generators | [`data`] (`ssd-data`) | §1 |
 //!
 //! The [`Database`] type bundles a data graph with lazily built auxiliary
-//! structures (edge index, DataGuide, triple store) and exposes the whole
-//! feature set behind a compact API:
+//! structures (edge index, DataGuide, the SPO/POS/OSP triple index that
+//! select and datalog read) and exposes the whole feature set behind a
+//! compact API:
 //!
 //! ```
 //! use semistructured::Database;
@@ -51,8 +52,9 @@ pub struct Database {
     index: OnceLock<GraphIndex>,
     guide: OnceLock<DataGuide>,
     /// The columnar triple index (SPO/POS/OSP). `None` inside the cell
-    /// means building it failed (SSD051 dictionary overflow) and every
-    /// query on this snapshot uses the interpreter.
+    /// means building it failed (SSD051 dictionary overflow): every
+    /// query on this snapshot uses the interpreter, and datalog the
+    /// store-backed reference evaluator.
     triple_index: OnceLock<Option<TripleIndex>>,
     /// Plain (schema-free) data statistics, cached for the access-path
     /// planner so repeated queries don't re-collect them.
@@ -264,7 +266,8 @@ impl Database {
         self.guide.get_or_init(|| DataGuide::build(&self.graph))
     }
 
-    /// A freshly shredded triple store view.
+    /// A freshly shredded triple store view: the set-backed reference
+    /// substrate. Datalog reads [`Database::triple_index`] instead.
     pub fn triples(&self) -> TripleStore {
         TripleStore::from_graph(&self.graph)
     }
@@ -391,8 +394,7 @@ impl Database {
 
     /// Run a graph-datalog program over the edge relation.
     pub fn datalog(&self, program: &str) -> Result<ssd_triples::datalog::Evaluation, String> {
-        let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
-        ssd_triples::datalog::evaluate(&p, &self.triples()).map_err(|e| e.to_string())
+        self.datalog_with(program, &Guard::unlimited())
     }
 
     /// Run a graph-datalog program under a resource [`Guard`].
@@ -402,7 +404,23 @@ impl Database {
         guard: &Guard,
     ) -> Result<ssd_triples::datalog::Evaluation, String> {
         let p = ssd_triples::datalog::parse_program(program, self.graph.symbols())?;
-        ssd_triples::datalog::evaluate_with(&p, &self.triples(), guard).map_err(|e| e.to_string())
+        self.run_datalog(&p, guard, None)
+    }
+
+    /// Evaluate over the cached triple index, whose runs serve `edge`
+    /// directly. Without an index (SSD051) the store-backed reference
+    /// evaluator runs instead.
+    fn run_datalog(
+        &self,
+        p: &ssd_triples::datalog::Program,
+        guard: &Guard,
+        tracer: Option<&trace::Tracer>,
+    ) -> Result<ssd_triples::datalog::Evaluation, String> {
+        match self.triple_index() {
+            Some(index) => ssd_triples::datalog::evaluate_indexed(p, index, guard, tracer),
+            None => ssd_triples::datalog::evaluate_traced(p, &self.triples(), guard, tracer),
+        }
+        .map_err(|e| e.to_string())
     }
 
     /// As [`Database::datalog_with`], with structured tracing: parse and
@@ -427,18 +445,15 @@ impl Database {
         } else {
             None
         };
-        let eval = ssd_triples::datalog::evaluate_traced(&p, &self.triples(), guard, tracer)
-            .map_err(|e| e.to_string())?;
+        let eval = self.run_datalog(&p, guard, tracer)?;
         if let Some(t) = tracer {
-            let derived: usize = eval
-                .facts
-                .values()
-                .map(std::collections::BTreeSet::len)
-                .sum();
+            // The estimate bounds the result predicate (the head of the
+            // last rule), so that is the count it is compared with.
+            let result = p.rules.last().map_or(0, |r| eval.count(&r.head.pred));
             t.instant(
                 trace::Phase::Estimate,
                 "cost.actual",
-                cost_actual_fields(estimate.as_ref(), guard, derived as u64),
+                cost_actual_fields(estimate.as_ref(), guard, result as u64),
             );
         }
         Ok(eval)
@@ -491,16 +506,11 @@ impl Database {
     pub fn estimate_datalog(&self, program: &str) -> Result<CostAnalysis, String> {
         let (p, spans) =
             ssd_triples::datalog::parse_program_spanned(program, self.graph.symbols())?;
-        let stats = DataStats::collect(&self.graph);
-        let ctx = CostContext {
-            stats: Some(&stats),
-            schema: None,
-        };
         Ok(ssd_query::analyze::analyze_datalog_cost(
             &p,
             Some(&spans),
             None,
-            &ctx,
+            &CostContext::with_stats(self.plan_stats()),
         ))
     }
 
@@ -786,6 +796,44 @@ mod tests {
             )
             .unwrap();
         assert_eq!(eval.count("reach"), db.stats().nodes);
+    }
+
+    const TC: &str = "reach(X) :- root(X).\nreach(Y) :- reach(X), edge(X, _L, Y).";
+
+    #[test]
+    fn datalog_reads_edge_from_the_index() {
+        let db = db();
+        let eval = db.datalog(TC).unwrap();
+        assert!(
+            !eval.facts.contains_key("edge"),
+            "edge must stay in the index"
+        );
+        assert_eq!(eval.count("reach"), db.stats().nodes);
+    }
+
+    #[test]
+    fn traced_datalog_reports_the_result_cardinality() {
+        // `cardinality_actual` counts the result predicate (the head of
+        // the last rule): the relation the estimate's interval bounds.
+        let db = db();
+        let ring = trace::SharedRing::new(4096);
+        let tracer = trace::Tracer::with_sink(Box::new(ring.clone()));
+        let eval = db.datalog_traced(TC, None, Some(&tracer)).unwrap();
+        tracer.flush();
+        let events = ring.snapshot();
+        let actual = events.iter().find(|e| e.name == "cost.actual").unwrap();
+        let field = |k: &str| {
+            actual
+                .fields
+                .iter()
+                .find(|(n, _)| *n == k)
+                .map(|(_, v)| v.to_string())
+                .unwrap()
+        };
+        let reach = eval.count("reach") as u64;
+        assert_eq!(field("cardinality_actual"), reach.to_string());
+        let hi: u64 = field("cardinality_hi").parse().unwrap();
+        assert!(reach <= hi, "{reach} above the estimate's bound {hi}");
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub fn analyze_datalog_cost(
                     .mul(Bound::Finite(TUPLE_COST)),
             );
             // Lower bound: the seed round evaluates every rule once in
-            // full; a leading positive EDB literal scans its exact
-            // relation (one tick per tuple).
+            // full; a leading positive EDB literal ticks once per tuple
+            // of the run it scans.
             fuel_lo = fuel_lo.saturating_add(first_literal_floor(rule, ctx));
         }
         fuel_hi = fuel_hi.add(rounds.mul(per_round_fuel));
@@ -193,20 +193,28 @@ impl RelBounds {
     }
 }
 
-/// Exact tick count of a rule's leading literal on the seed round, when
-/// it is a positive non-builtin EDB atom (the nested-loop join ticks
-/// once per source tuple before matching).
+/// Ticks a rule's leading literal is sure to cost on the seed round,
+/// when it is a positive EDB atom (the nested-loop join ticks once per
+/// candidate before matching). The fewest candidates either evaluator
+/// offers for it: an all-variable `edge` scans every edge on both paths,
+/// while a constant label alone is one POS range on the index path (its
+/// exact edge count), and any other bound position narrows the scan
+/// further.
 fn first_literal_floor(rule: &Rule, ctx: &CostContext<'_>) -> u64 {
     let Some(first) = rule.body.first() else {
         return 0;
     };
-    if !first.positive || is_builtin(first.atom.pred.as_str()) {
+    if !first.positive {
         return 0;
     }
     match (first.atom.pred.as_str(), ctx.stats) {
         ("root", _) => 1,
-        ("edge", Some(st)) => st.edges_reachable,
         ("node", Some(st)) => st.edb_nodes,
+        ("edge", Some(st)) => match first.atom.terms.as_slice() {
+            [Term::Var(_), Term::Var(_), Term::Var(_)] => st.edges_reachable,
+            [Term::Var(_), Term::Const(Datum::Label(l)), Term::Var(_)] => st.label_count(l),
+            _ => 0,
+        },
         _ => 0,
     }
 }
@@ -255,6 +263,7 @@ fn arities_consistent(program: &Program) -> bool {
 mod tests {
     use super::*;
     use ssd_graph::literal::parse_graph;
+    use ssd_graph::Label;
     use ssd_guard::Budget;
     use ssd_schema::DataStats;
     use ssd_triples::datalog::{evaluate_with, parse_program};
@@ -317,8 +326,28 @@ mod tests {
             a.diagnostics
         );
         assert!(a.envelope.fuel.is_bounded());
-        // Seed round scans the edge relation exactly.
-        assert!(a.envelope.fuel.lo >= stats.edges_reachable);
+        // The seed round scans the `a` run exactly (POS on the index
+        // path), after one round tick.
+        let label_a = Label::symbol(g.symbols(), "a");
+        assert_eq!(a.envelope.fuel.lo, 1 + 1);
+        assert_eq!(stats.label_count(&label_a), 1);
+    }
+
+    #[test]
+    fn leading_literal_floor_follows_its_bound_positions() {
+        let g = parse_graph("{a: 1, a: 2, b: {c: 3}}").unwrap();
+        let stats = DataStats::collect(&g);
+        let ctx = CostContext::with_stats(&stats);
+        let floor = |src: &str| {
+            let p = parse_program(src, g.symbols()).unwrap();
+            analyze_datalog_cost(&p, None, None, &ctx).envelope.fuel.lo - 1
+        };
+        assert_eq!(floor("q(X) :- edge(X, _L, _Y)."), stats.edges_reachable);
+        assert_eq!(floor("q(X) :- edge(X, a, _Y)."), 2);
+        assert_eq!(floor("q(X) :- edge(X, nope, _Y)."), 0);
+        assert_eq!(floor("q(X) :- edge(X, a, 1)."), 0);
+        assert_eq!(floor("q(X) :- node(X)."), stats.edb_nodes);
+        assert_eq!(floor("q(X) :- root(X)."), 1);
     }
 
     #[test]

@@ -12,9 +12,9 @@ use ssd_diag::{Code, Diagnostic, Span};
 use ssd_triples::datalog::{is_builtin, stratify, Atom, Program, ProgramSpans};
 use std::collections::{HashMap, HashSet};
 
-/// The EDB relations the triple store exposes, with their arities:
+/// The EDB relations the evaluator exposes, with their arities:
 /// `edge(Src, Label, Dst)`, `node(N)`, `root(R)`.
-pub const EDB_PREDICATES: &[(&str, usize)] = &[("edge", 3), ("node", 1), ("root", 1)];
+pub use ssd_triples::datalog::EDB_PREDICATES;
 
 fn edb_arity(pred: &str) -> Option<usize> {
     EDB_PREDICATES

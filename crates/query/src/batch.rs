@@ -236,13 +236,13 @@ pub fn plan_access(
         let mut walk_interp: u64 = 0;
         for p in &preds {
             let label = pred_label(g, p);
-            let id = label.and_then(|l| index.label_id(&l));
+            let id = label.as_ref().and_then(|l| index.label_id(l));
             let count = id.map(|i| index.label_count(i) as u64).unwrap_or(0);
             // Cross-check against the schema-layer selectivity estimate;
             // the exact index count wins, the stats feed the comparison
             // when a label is missing from the index's generation.
-            let est_count = count
-                .max((stats.label_selectivity(&pred_key(p)) * stats.edges_reachable as f64) as u64);
+            let selectivity = label.map_or(0.0, |l| stats.label_selectivity(&l));
+            let est_count = count.max((selectivity * stats.edges_reachable as f64) as u64);
             let out = est_count
                 .min(frontier.saturating_mul(stats.max_fanout.max(1)))
                 .max(1);
@@ -285,14 +285,6 @@ fn pred_label(g: &Graph, p: &Pred) -> Option<Label> {
         Pred::Symbol(name) => Some(Label::symbol(g.symbols(), name)),
         Pred::ValueEq(v) => Some(Label::Value(v.clone())),
         _ => None,
-    }
-}
-
-/// The step's key in [`DataStats::label_counts`] (displayed label form).
-fn pred_key(p: &Pred) -> String {
-    match p {
-        Pred::Symbol(name) => name.clone(),
-        other => other.to_string(),
     }
 }
 

@@ -39,13 +39,14 @@ pub struct DataStats {
     /// the root — exactly the `node/1` EDB relation the triple shredder
     /// produces.
     pub edb_nodes: u64,
-    /// Distinct edge labels in the reachable fragment.
+    /// Distinct edge labels in the reachable fragment (the symbol `1`
+    /// and the integer `1` are two).
     pub distinct_labels: u64,
     /// Does the graph contain a cycle? Acyclic data bounds the number of
     /// label words any path expression can match even without a schema.
     pub cyclic: bool,
-    /// Edge count per label (displayed form; symbols by name).
-    pub label_counts: BTreeMap<String, u64>,
+    /// Edge count per label.
+    pub label_counts: BTreeMap<Label, u64>,
     /// With a schema: for each schema node, how many distinct data nodes
     /// the reachable data×schema product assigns to it. Empty without a
     /// schema.
@@ -72,10 +73,14 @@ impl DataStats {
                 stats.edges_reachable += 1;
                 endpoints.insert(n);
                 endpoints.insert(e.to);
-                *stats
-                    .label_counts
-                    .entry(label_key(&e.label, g))
-                    .or_insert(0) += 1;
+                // Look up before inserting: most edges repeat a label,
+                // and a string label would be cloned for nothing.
+                match stats.label_counts.get_mut(&e.label) {
+                    Some(c) => *c += 1,
+                    None => {
+                        stats.label_counts.insert(e.label.clone(), 1);
+                    }
+                }
             }
         }
         stats.edb_nodes = endpoints.len() as u64;
@@ -118,16 +123,15 @@ impl DataStats {
         self.per_schema_node.get(n.index()).copied()
     }
 
-    /// Edges carrying `label` (by displayed form), zero if absent.
-    pub fn label_count(&self, label: &str) -> u64 {
+    /// Edges carrying `label`, zero if absent.
+    pub fn label_count(&self, label: &Label) -> u64 {
         self.label_counts.get(label).copied().unwrap_or(0)
     }
 
-    /// Fraction of reachable edges carrying `label` (by displayed form),
-    /// in `[0, 1]` — the per-step selectivity the index access-path
+    /// Fraction of reachable edges carrying `label`, in `[0, 1]` — the per-step selectivity the index access-path
     /// planner feeds on when weighing a POS label scan against an SPO
     /// frontier gallop.
-    pub fn label_selectivity(&self, label: &str) -> f64 {
+    pub fn label_selectivity(&self, label: &Label) -> f64 {
         if self.edges_reachable == 0 {
             0.0
         } else {
@@ -159,14 +163,6 @@ impl std::fmt::Display for DataStats {
     }
 }
 
-/// Stable display key for a label: symbol name, or the value's display.
-fn label_key(label: &Label, g: &Graph) -> String {
-    match label {
-        Label::Symbol(s) => g.symbols().resolve(*s).to_string(),
-        Label::Value(v) => v.to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,11 +190,11 @@ mod tests {
         assert!(stats.cyclic);
         assert_eq!(stats.nodes_reachable, g.reachable().len() as u64);
         assert_eq!(stats.edges_reachable, g.edge_count() as u64);
-        assert_eq!(stats.label_count("Entry"), 2);
-        assert_eq!(stats.label_count("Title"), 2);
-        assert_eq!(stats.label_count("References"), 2);
-        // Value labels key by their displayed (quoted) form.
-        assert_eq!(stats.label_count("\"Casablanca\""), 1);
+        let symbol = |name: &str| Label::symbol(g.symbols(), name);
+        assert_eq!(stats.label_count(&symbol("Entry")), 2);
+        assert_eq!(stats.label_count(&symbol("Title")), 2);
+        assert_eq!(stats.label_count(&symbol("References")), 2);
+        assert_eq!(stats.label_count(&Label::str("Casablanca")), 1);
         assert_eq!(stats.root_fanout, 2);
         assert!(stats.max_fanout >= 3, "movie node has 3 edges");
         assert_eq!(
@@ -258,6 +254,25 @@ mod tests {
         assert_eq!(stats.edb_nodes, 1);
         assert_eq!(stats.distinct_labels, 0);
         assert_eq!(stats.max_fanout, 0);
+    }
+
+    #[test]
+    fn exact_label_counts_tell_look_alike_labels_apart() {
+        // JSON import makes both: an object key "1" is the symbol `1`,
+        // an array slot 1 the integer label 1. Displayed, they collide.
+        let mut g = Graph::new();
+        let (a, b) = (g.add_node(), g.add_node());
+        let root = g.root();
+        g.add_edge(root, Label::symbol(g.symbols(), "1"), a);
+        g.add_edge(root, Label::int(1), b);
+        g.add_edge(a, Label::int(1), b);
+        g.add_edge(a, Label::int(2), b);
+        let stats = DataStats::collect(&g);
+        assert_eq!(stats.distinct_labels, 3);
+        assert_eq!(stats.label_count(&Label::symbol(g.symbols(), "1")), 1);
+        assert_eq!(stats.label_count(&Label::int(1)), 2);
+        assert_eq!(stats.label_count(&Label::int(2)), 1);
+        assert_eq!(stats.label_count(&Label::int(3)), 0);
     }
 
     #[test]

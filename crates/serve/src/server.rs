@@ -170,7 +170,6 @@ struct Inner {
     notify: Sender<(SyncSender<JobEvent>, String)>,
     /// Estimator inputs, computed once per server, not per submit.
     query_stats: OnceLock<(DataStats, Schema)>,
-    datalog_stats: OnceLock<DataStats>,
     /// Structured-event tracer for the *scheduler lifecycle* (admission
     /// decisions, queue waits, per-job spans). Per-job engine evaluation
     /// is deliberately not routed through this tracer: workers run in
@@ -268,7 +267,6 @@ impl Server {
             work: Condvar::new(),
             notify,
             query_stats: OnceLock::new(),
-            datalog_stats: OnceLock::new(),
             tracer: tracer.map(Mutex::new),
         });
         let workers = (0..cfg.workers.max(1))
@@ -566,13 +564,7 @@ fn estimate(inner: &Inner, kind: JobKind, text: &str) -> Result<CostEnvelope, St
                 text,
                 inner.db.graph().symbols(),
             )?;
-            let stats = inner
-                .datalog_stats
-                .get_or_init(|| DataStats::collect(inner.db.graph()));
-            let ctx = CostContext {
-                stats: Some(stats),
-                schema: None,
-            };
+            let ctx = CostContext::with_stats(inner.db.plan_stats());
             analyze::analyze_datalog_cost(&p, Some(&spans), None, &ctx)
         }
         _ => {

@@ -1,7 +1,19 @@
 //! Stratified datalog evaluation: naive and semi-naive.
 //!
-//! The EDB is derived from a [`TripleStore`]: `edge(Src, Label, Dst)`,
-//! `root(R)`, and `node(N)` (every node occurring in a triple or as root).
+//! The EDB is `edge(Src, Label, Dst)`, `root(R)`, and `node(N)` (every
+//! node occurring in a triple or as root). It comes from one of two
+//! places, and both feed the same fixpoint loop:
+//!
+//! * the cached [`TripleIndex`] ([`evaluate_indexed`], the path behind
+//!   `Database::datalog*`). `edge` is never copied: each `edge` literal
+//!   reads the SPO, POS or OSP run that its bound positions select, and
+//!   only the keys offered to the matcher are decoded. `node` is
+//!   materialised from the runs only when the program mentions it, and
+//!   `root` is one tuple.
+//! * a [`TripleStore`] copied into sorted fact sets ([`edb_from_store`]):
+//!   the set-backed reference path ([`evaluate`], [`evaluate_naive`],
+//!   [`evaluate_with`]) that the index path is tested against.
+//!
 //! Programs are stratified on negation; within a stratum, recursion is
 //! evaluated either naively (recompute everything each round) or
 //! semi-naively (join only against the last round's delta). Experiment E6
@@ -11,8 +23,11 @@
 use super::ast::{is_builtin, Atom, Program, Rule, Term};
 use crate::algebra::Datum;
 use crate::store::TripleStore;
+use ssd_graph::NodeId;
 use ssd_guard::{Exhausted, Guard};
+use ssd_index::{Key, TripleIndex};
 use ssd_trace::{Phase, Tracer};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 
 /// Fault-injection seam: hit once per fixpoint round.
@@ -21,6 +36,10 @@ pub const FP_DATALOG_ROUND: &str = "datalog.round";
 /// Approximate bytes one derived tuple costs in the fact database.
 /// Public so the static cost analysis charges the same unit it measures.
 pub const TUPLE_COST: u64 = 96;
+
+/// The EDB predicates and their arities. A program that uses one with
+/// another arity is refused, even when the relation is empty.
+pub const EDB_PREDICATES: &[(&str, usize)] = &[("edge", 3), ("node", 1), ("root", 1)];
 
 /// The fact database: predicate name → set of tuples.
 pub type Facts = HashMap<String, BTreeSet<Vec<Datum>>>;
@@ -66,6 +85,9 @@ impl std::fmt::Display for DatalogError {
 impl std::error::Error for DatalogError {}
 
 /// Result of evaluating a program: all facts plus iteration statistics.
+/// On the index path the facts hold the IDB relations and the EDB
+/// relations that were materialised (`root`, and `node` when the
+/// program mentions it), not `edge`.
 #[derive(Debug)]
 pub struct Evaluation {
     pub facts: Facts,
@@ -115,11 +137,68 @@ pub fn edb_from_store(store: &TripleStore) -> Facts {
     facts
 }
 
+/// The EDB facts an index-backed run needs beside the index itself:
+/// `root` always, `node` when the program mentions it. A program that
+/// derives `edge` tuples of its own extends the stored relation, so then
+/// `edge` is materialised as well and the index is not read (`None`).
+fn edb_from_index<'i>(
+    program: &Program,
+    index: &'i TripleIndex,
+) -> (Facts, Option<&'i TripleIndex>) {
+    let mut facts: Facts = HashMap::new();
+    facts.insert(
+        "root".to_owned(),
+        std::iter::once(vec![node_datum(index.root())]).collect(),
+    );
+    let mentions_node = program
+        .rules
+        .iter()
+        .any(|r| r.head.pred == "node" || r.body.iter().any(|l| l.atom.pred == "node"));
+    if mentions_node {
+        facts.insert("node".to_owned(), index_nodes(index));
+    }
+    if !program.rules.iter().any(|r| r.head.pred == "edge") {
+        return (facts, Some(index));
+    }
+    let edges = index
+        .spo()
+        .iter()
+        .filter_map(|&k| decode(index, k))
+        .collect();
+    facts.insert("edge".to_owned(), edges);
+    (facts, None)
+}
+
+/// `node/1` from the runs: every source and destination of an indexed
+/// triple, plus the root, in node-id order.
+fn index_nodes(index: &TripleIndex) -> BTreeSet<Vec<Datum>> {
+    let mut ids: Vec<u32> = index.spo().iter().flat_map(|&[s, _, o]| [s, o]).collect();
+    ids.push(index.root());
+    ids.sort_unstable();
+    ids.dedup();
+    ids.into_iter().map(|n| vec![node_datum(n)]).collect()
+}
+
+fn node_datum(id: u32) -> Datum {
+    Datum::Node(NodeId::from_index(id as usize))
+}
+
+/// An SPO key as an `edge` tuple.
+fn decode(index: &TripleIndex, [s, p, o]: Key) -> Option<Vec<Datum>> {
+    let label = index.dict().resolve(p)?;
+    Some(vec![
+        node_datum(s),
+        Datum::Label(label.clone()),
+        node_datum(o),
+    ])
+}
+
 /// Evaluate `program` over the EDB of `store`, semi-naively.
 pub fn evaluate(program: &Program, store: &TripleStore) -> Result<Evaluation, DatalogError> {
     run(
         program,
         edb_from_store(store),
+        None,
         Mode::SemiNaive,
         &Guard::unlimited(),
         None,
@@ -132,6 +211,7 @@ pub fn evaluate_naive(program: &Program, store: &TripleStore) -> Result<Evaluati
     run(
         program,
         edb_from_store(store),
+        None,
         Mode::Naive,
         &Guard::unlimited(),
         None,
@@ -148,7 +228,14 @@ pub fn evaluate_with(
     store: &TripleStore,
     guard: &Guard,
 ) -> Result<Evaluation, DatalogError> {
-    run(program, edb_from_store(store), Mode::SemiNaive, guard, None)
+    run(
+        program,
+        edb_from_store(store),
+        None,
+        Mode::SemiNaive,
+        guard,
+        None,
+    )
 }
 
 /// As [`evaluate_with`], with structured tracing: one [`Phase::Datalog`]
@@ -164,10 +251,34 @@ pub fn evaluate_traced(
     let res = run(
         program,
         edb_from_store(store),
+        None,
         Mode::SemiNaive,
         guard,
         tracer,
     );
+    trace_exhaustion(res, tracer)
+}
+
+/// As [`evaluate_traced`], over the cached triple index instead of a
+/// store: `edge` literals read the index's runs directly (see the module
+/// docs). Same results, guard accounting and trace events; fewer join
+/// candidates, since a bound label or destination narrows the scan too.
+pub fn evaluate_indexed(
+    program: &Program,
+    index: &TripleIndex,
+    guard: &Guard,
+    tracer: Option<&Tracer>,
+) -> Result<Evaluation, DatalogError> {
+    let (facts, edges) = edb_from_index(program, index);
+    let res = run(program, facts, edges, Mode::SemiNaive, guard, tracer);
+    trace_exhaustion(res, tracer)
+}
+
+/// Emit the [`Phase::Guard`] instant for a run the guard stopped.
+fn trace_exhaustion(
+    res: Result<Evaluation, DatalogError>,
+    tracer: Option<&Tracer>,
+) -> Result<Evaluation, DatalogError> {
     if let Err(e) = &res {
         ssd_trace::instant(
             tracer,
@@ -198,6 +309,7 @@ pub fn evaluate_with_facts_guarded(
     run(
         program,
         base,
+        None,
         if semi_naive {
             Mode::SemiNaive
         } else {
@@ -264,9 +376,12 @@ pub fn stratify(program: &Program) -> Result<Vec<Vec<&Rule>>, DatalogError> {
     Ok(strata)
 }
 
+/// The fixpoint loop. `edges`, when set, serves every `edge` literal
+/// from the index; otherwise `edge` is a fact set like any other.
 fn run(
     program: &Program,
     mut facts: Facts,
+    edges: Option<&TripleIndex>,
     mode: Mode,
     guard: &Guard,
     tracer: Option<&Tracer>,
@@ -308,7 +423,7 @@ fn run(
                 let derived = match mode {
                     Mode::Naive => {
                         rule_evaluations += 1;
-                        eval_rule(rule, &facts, None, guard).map_err(exh)?
+                        eval_rule(rule, &facts, edges, None, guard).map_err(exh)?
                     }
                     Mode::SemiNaive => {
                         // One evaluation per occurrence of a recursive
@@ -328,7 +443,7 @@ fn run(
                             // Non-recursive rules fire once, on the seed round.
                             if round == 0 {
                                 rule_evaluations += 1;
-                                eval_rule(rule, &facts, None, guard).map_err(exh)?
+                                eval_rule(rule, &facts, edges, None, guard).map_err(exh)?
                             } else {
                                 BTreeSet::new()
                             }
@@ -337,13 +452,13 @@ fn run(
                             // delta; run the rule in full once (it typically
                             // finds nothing until base rules populate facts).
                             rule_evaluations += 1;
-                            eval_rule(rule, &facts, None, guard).map_err(exh)?
+                            eval_rule(rule, &facts, edges, None, guard).map_err(exh)?
                         } else {
                             let mut out = BTreeSet::new();
                             for &pos in &rec_positions {
                                 rule_evaluations += 1;
                                 out.extend(
-                                    eval_rule(rule, &facts, Some((pos, &delta)), guard)
+                                    eval_rule(rule, &facts, edges, Some((pos, &delta)), guard)
                                         .map_err(exh)?,
                                 );
                             }
@@ -422,8 +537,13 @@ fn run(
     })
 }
 
+/// Every predicate keeps one arity: its stored facts', else the EDB
+/// table's, else that of its first use in the program.
 fn check_arities(program: &Program, facts: &Facts) -> Result<(), DatalogError> {
-    let mut arity: HashMap<String, usize> = HashMap::new();
+    let mut arity: HashMap<String, usize> = EDB_PREDICATES
+        .iter()
+        .map(|&(p, a)| (p.to_owned(), a))
+        .collect();
     for (p, tuples) in facts {
         if let Some(t) = tuples.iter().next() {
             arity.insert(p.clone(), t.len());
@@ -451,14 +571,16 @@ fn check_arities(program: &Program, facts: &Facts) -> Result<(), DatalogError> {
     Ok(())
 }
 
-/// Evaluate one rule body against `facts`, optionally restricting the
-/// positive literal at `delta_at.0` to the delta relation. Returns derived
+/// Evaluate one rule body against `facts` (and `edges`, when `edge` is
+/// read from the index), optionally restricting the positive literal at
+/// `delta_at.0` to the delta relation. Returns derived
 /// head tuples. Fuel is ticked per join candidate considered; in partial
 /// mode exhaustion returns the tuples derivable from the bindings built
 /// so far.
 fn eval_rule(
     rule: &Rule,
     facts: &Facts,
+    edges: Option<&TripleIndex>,
     delta_at: Option<(usize, &Facts)>,
     guard: &Guard,
 ) -> Result<BTreeSet<Vec<Datum>>, Exhausted> {
@@ -482,9 +604,11 @@ fn eval_rule(
             }
             continue;
         }
-        let source: &BTreeSet<Vec<Datum>> = match delta_at {
-            Some((pos, delta)) if pos == i => delta.get(lit.atom.pred.as_str()).unwrap_or(&empty),
-            _ => facts.get(lit.atom.pred.as_str()).unwrap_or(&empty),
+        let pred = lit.atom.pred.as_str();
+        let source = match (delta_at, edges) {
+            (Some((pos, delta)), _) if pos == i => Source::Set(delta.get(pred).unwrap_or(&empty)),
+            (_, Some(index)) if pred == "edge" => Source::Index(index),
+            _ => Source::Set(facts.get(pred).unwrap_or(&empty)),
         };
         if lit.positive {
             let mut next = Vec::new();
@@ -494,7 +618,7 @@ fn eval_rule(
                         bindings = next;
                         break 'body;
                     }
-                    if let Some(extended) = try_match(&lit.atom, tuple, b) {
+                    if let Some(extended) = try_match(&lit.atom, &tuple, b) {
                         next.push(extended);
                     }
                 }
@@ -510,7 +634,7 @@ fn eval_rule(
                     break 'body;
                 }
                 if !candidates(source, &lit.atom, &b)
-                    .any(|tuple| try_match(&lit.atom, tuple, &b).is_some())
+                    .any(|tuple| try_match(&lit.atom, &tuple, &b).is_some())
                 {
                     kept.push(b);
                 }
@@ -544,12 +668,7 @@ fn eval_rule(
 /// variables (impossible after the safety check) make the builtin
 /// unsatisfied rather than panicking.
 fn eval_builtin(atom: &Atom, binding: &HashMap<String, Datum>) -> bool {
-    let resolve = |t: &Term| -> Option<Datum> {
-        match t {
-            Term::Const(d) => Some(d.clone()),
-            Term::Var(v) => binding.get(v).cloned(),
-        }
-    };
+    let resolve = |t: &Term| resolved(t, binding).cloned();
     let (Some(a), Some(b)) = (
         atom.terms.first().and_then(&resolve),
         atom.terms.get(1).and_then(&resolve),
@@ -583,39 +702,92 @@ fn eval_builtin(atom: &Atom, binding: &HashMap<String, Datum>) -> bool {
     }
 }
 
+/// Where a body literal's tuples come from.
+#[derive(Clone, Copy)]
+enum Source<'s> {
+    /// A sorted fact set: an IDB relation, a delta, explicit facts, or a
+    /// materialised EDB relation.
+    Set(&'s BTreeSet<Vec<Datum>>),
+    /// The `edge` relation, read from the triple index's runs.
+    Index(&'s TripleIndex),
+}
+
+/// The datum `term` stands for under `binding`, if it is resolved
+/// (a constant, or a bound variable).
+fn resolved<'a>(term: &'a Term, binding: &'a HashMap<String, Datum>) -> Option<&'a Datum> {
+    match term {
+        Term::Const(d) => Some(d),
+        Term::Var(v) => binding.get(v),
+    }
+}
+
 /// The tuples of `source` worth offering to [`try_match`] for `atom`
-/// under `binding`: the relation is a lexicographically sorted set, so
-/// any leading run of terms already resolved (constants or bound
-/// variables) narrows the scan to the matching range instead of the
-/// whole relation. For `edge(Y, 'References', Z)` with `Y` bound this
-/// is the out-adjacency of one node — the difference between linear
-/// and quadratic fixpoints on large graphs. Tuples outside the range
-/// can never match, so candidates (and the fuel ticked per candidate)
-/// shrink without changing any result.
+/// under `binding`: stored facts are borrowed, index keys decoded as
+/// they are offered. Tuples outside the returned range can never match,
+/// so candidates (and the fuel ticked per candidate) shrink without
+/// changing any result. For `edge(Y, 'References', Z)` with `Y` bound
+/// this is the out-adjacency of one node: the difference between linear
+/// and quadratic fixpoints on large graphs.
+///
+/// * A fact set is lexicographically sorted, so the leading run of
+///   resolved terms (constants or bound variables) narrows the scan to
+///   one range.
+/// * The index picks the run whose sort order leads with the resolved
+///   positions: SPO when the source is resolved (`range2` with the label
+///   too), POS when the label is (`range2` with the destination too),
+///   OSP when only the destination is, and all of SPO when none is. A
+///   resolved position the index cannot hold (a label missing from the
+///   dictionary, a node in the label column or a label in a node
+///   column) matches nothing.
 fn candidates<'s>(
-    source: &'s BTreeSet<Vec<Datum>>,
+    source: Source<'s>,
     atom: &Atom,
     binding: &HashMap<String, Datum>,
-) -> Box<dyn Iterator<Item = &'s Vec<Datum>> + 's> {
-    let mut prefix: Vec<Datum> = Vec::new();
-    for term in &atom.terms {
-        match term {
-            Term::Const(d) => prefix.push(d.clone()),
-            Term::Var(v) => match binding.get(v) {
-                Some(d) => prefix.push(d.clone()),
-                None => break,
-            },
+) -> Box<dyn Iterator<Item = Cow<'s, [Datum]>> + 's> {
+    let index = match source {
+        Source::Set(set) => {
+            let prefix: Vec<Datum> = atom
+                .terms
+                .iter()
+                .map_while(|t| resolved(t, binding).cloned())
+                .collect();
+            let stored = |t: &'s Vec<Datum>| Cow::Borrowed(t.as_slice());
+            return if prefix.is_empty() {
+                Box::new(set.iter().map(stored))
+            } else {
+                Box::new(
+                    set.range(prefix.clone()..)
+                        .take_while(move |t| t.starts_with(&prefix))
+                        .map(stored),
+                )
+            };
         }
+        Source::Index(index) => index,
+    };
+    let [ts, tp, to] = atom.terms.as_slice() else {
+        return Box::new(std::iter::empty());
+    };
+    // `None`: free. `Some(None)`: resolved, but absent from the index.
+    let node = |t: &Term| resolved(t, binding).map(|d| d.as_node().map(|n| n.index() as u32));
+    let label =
+        |t: &Term| resolved(t, binding).map(|d| d.as_label().and_then(|l| index.label_id(l)));
+    let (s, p, o) = (node(ts), label(tp), node(to));
+    if [s, p, o].contains(&Some(None)) {
+        return Box::new(std::iter::empty());
     }
-    if prefix.is_empty() {
-        Box::new(source.iter())
-    } else {
-        Box::new(
-            source
-                .range(prefix.clone()..)
-                .take_while(move |t| t.starts_with(&prefix)),
-        )
-    }
+    let (keys, to_spo): (&'s [Key], fn(&Key) -> Key) = match (s.flatten(), p.flatten(), o.flatten())
+    {
+        (Some(s), Some(p), _) => (index.spo().range2(s, p), |k| *k),
+        (Some(s), None, _) => (index.spo().range1(s), |k| *k),
+        (None, Some(p), Some(o)) => (index.pos().range2(p, o), |&[p, o, s]| [s, p, o]),
+        (None, Some(p), None) => (index.pos().range1(p), |&[p, o, s]| [s, p, o]),
+        (None, None, Some(o)) => (index.osp().range1(o), |&[o, s, p]| [s, p, o]),
+        (None, None, None) => (index.spo().as_slice(), |k| *k),
+    };
+    Box::new(
+        keys.iter()
+            .filter_map(move |k| decode(index, to_spo(k)).map(Cow::Owned)),
+    )
 }
 
 fn try_match(
@@ -921,5 +1093,91 @@ mod builtin_tests {
         let store = crate::store::TripleStore::from_graph(&g);
         let eval = evaluate(&p, &store).unwrap();
         assert_eq!(eval.count("r"), 3); // root, after 1, after 2 (not past 3)
+    }
+}
+
+#[cfg(test)]
+mod index_tests {
+    use super::*;
+    use crate::datalog::ast::parse_program;
+    use ssd_graph::literal::parse_graph;
+    use ssd_graph::Graph;
+    use ssd_guard::Budget;
+
+    /// Run `program` on `graph` over the index and over the store, each
+    /// under an active guard; return both evaluations and their fuel.
+    fn both(graph: &str, program: &str) -> ((Evaluation, u64), (Evaluation, u64)) {
+        let g = parse_graph(graph).unwrap();
+        let p = parse_program(program, g.symbols()).unwrap();
+        let index = TripleIndex::build(&g).unwrap();
+        let store = TripleStore::from_graph(&g);
+        let run = |indexed: bool| {
+            let guard = Budget::unlimited().max_steps(u64::MAX / 4).guard();
+            let eval = if indexed {
+                evaluate_indexed(&p, &index, &guard, None)
+            } else {
+                evaluate_with(&p, &store, &guard)
+            };
+            (eval.unwrap(), guard.steps_used())
+        };
+        (run(true), run(false))
+    }
+
+    const GRAPH: &str = "{a: {x: 1, y: 2}, b: {x: 3}, a: {z: {x: 4}}}";
+
+    #[test]
+    fn constant_label_scans_one_pos_range() {
+        let ((ix, ix_fuel), (st, st_fuel)) = both(GRAPH, "hit(Y) :- edge(_X, x, Y).");
+        assert_eq!(ix.facts.get("hit"), st.facts.get("hit"));
+        assert_eq!(ix.count("hit"), 3);
+        // Seed round: one round tick plus the three `x` edges; the
+        // second round (nothing recursive) is one more tick.
+        assert_eq!(ix_fuel, 1 + 3 + 1);
+        assert!(st_fuel > ix_fuel, "the store scans every edge");
+    }
+
+    #[test]
+    fn absent_label_yields_nothing_without_scanning() {
+        let ((ix, ix_fuel), (st, _)) = both(GRAPH, "hit(Y) :- edge(_X, nope, Y).");
+        assert_eq!(ix.count("hit"), 0);
+        assert_eq!(ix.facts.get("hit"), st.facts.get("hit"));
+        assert_eq!(ix_fuel, 1, "one round tick, no candidates");
+    }
+
+    #[test]
+    fn edge_stays_in_the_index_and_node_only_when_mentioned() {
+        let ((ix, _), _) = both(GRAPH, "hit(Y) :- edge(_X, x, Y).");
+        let mut preds: Vec<&String> = ix.facts.keys().collect();
+        preds.sort();
+        assert_eq!(preds, ["hit", "root"]);
+        let ((ix, _), (st, _)) = both(
+            GRAPH,
+            "out(X) :- edge(X, _L, _Y).\nleaf(X) :- node(X), not out(X).",
+        );
+        assert_eq!(ix.facts.get("node"), st.facts.get("node"));
+        assert_eq!(ix.facts.get("leaf"), st.facts.get("leaf"));
+        assert!(!ix.facts.contains_key("edge"));
+    }
+
+    #[test]
+    fn a_program_deriving_edge_extends_the_stored_relation() {
+        let ((ix, _), (st, _)) = both(
+            GRAPH,
+            "edge(X, self, X) :- root(X).\nhit(Y) :- edge(_X, self, Y).",
+        );
+        assert_eq!(ix.facts.get("edge"), st.facts.get("edge"));
+        assert_eq!(ix.facts.get("hit"), st.facts.get("hit"));
+        assert_eq!(ix.count("hit"), 1);
+    }
+
+    #[test]
+    fn edb_arities_hold_even_on_an_empty_graph() {
+        let g = Graph::new();
+        let p = parse_program("q(X) :- edge(X, _Y).", g.symbols()).unwrap();
+        let index = TripleIndex::build(&g).unwrap();
+        assert!(matches!(
+            evaluate_indexed(&p, &index, &Guard::unlimited(), None),
+            Err(DatalogError::ArityMismatch { .. })
+        ));
     }
 }

@@ -8,8 +8,11 @@
 //! * [`eval`] — stratified evaluation, both naive and semi-naive (the
 //!   semi-naive/naive gap is experiment E6).
 //!
-//! The EDB is the triple store's edge relation, exposed as
-//! `edge(Src, Label, Dst)` together with `root(R)`.
+//! The EDB is the graph's one edge relation, `edge(Src, Label, Dst)`,
+//! together with `root(R)` and `node(N)`. [`evaluate_indexed`] reads
+//! `edge` straight from the cached SPO/POS/OSP runs of a
+//! [`ssd_index::TripleIndex`]; the store-backed evaluators copy a
+//! [`crate::TripleStore`] into fact sets and serve as its reference.
 
 pub mod ast;
 pub mod eval;
@@ -19,6 +22,7 @@ pub use ast::{
     RuleSpans, Term,
 };
 pub use eval::{
-    edb_from_store, evaluate, evaluate_naive, evaluate_traced, evaluate_with, evaluate_with_facts,
-    evaluate_with_facts_guarded, stratify, DatalogError, Evaluation, Facts, FP_DATALOG_ROUND,
+    edb_from_store, evaluate, evaluate_indexed, evaluate_naive, evaluate_traced, evaluate_with,
+    evaluate_with_facts, evaluate_with_facts_guarded, stratify, DatalogError, Evaluation, Facts,
+    EDB_PREDICATES, FP_DATALOG_ROUND,
 };

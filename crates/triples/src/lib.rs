@@ -8,10 +8,13 @@
 //!
 //! * [`triple`] / [`store`] — the shredded, indexed edge relation, built
 //!   from the root-reachable fragment (forward accessibility, §3 item 4).
+//!   The algebra and the reference datalog evaluators run over it.
 //! * [`algebra`] — relational algebra (σ π ⋈ ρ ∪ −) over relations whose
 //!   fields are node ids and labels.
 //! * [`datalog`] — "graph datalog": stratified recursive rules, naive and
-//!   semi-naive evaluation.
+//!   semi-naive evaluation. Its production path reads the edge relation
+//!   straight from the SPO/POS/OSP runs of `ssd-index`'s cached
+//!   `TripleIndex` instead of a store.
 //! * [`paths`] — hand-written reachability/transitive-closure baselines
 //!   the datalog results are cross-checked against.
 

@@ -263,6 +263,74 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Index-backed datalog: `Database::datalog_with` reads `edge` from the
+// triple index, where a constant label narrows a scan to one POS range
+// ---------------------------------------------------------------------------
+
+/// Programs whose leading literal carries a constant label: a symbol,
+/// a quoted symbol, an integer, a label that never occurs (`Nope`), and
+/// a label with a repeated variable.
+const LABELED_PROGRAMS: &[&str] = &[
+    "hit(Y) :- edge(_X, a, Y).",
+    "tc(X, Y) :- edge(X, b, Y).\n\
+     tc(X, Y) :- edge(X, b, Z), tc(Z, Y).",
+    "m(X, T) :- edge(X, 'Movie', Y), edge(Y, 'Title', T).",
+    "v(X) :- edge(X, 0, _Y).\n\
+     w(X) :- v(X), not edge(X, 1, X).",
+    "miss(X) :- edge(X, 'Nope', _Y).",
+    "loop(X) :- edge(X, c, X).",
+];
+
+/// One index-backed run of `text` on `g` under a huge active guard:
+/// the envelope the estimator gives it, and the fuel and memory the
+/// guard measured.
+fn indexed_run(
+    g: Graph,
+    text: &str,
+) -> Result<(semistructured::CostEnvelope, u64, u64), TestCaseError> {
+    let db = semistructured::Database::new(g);
+    let p = parse_program(text, db.graph().symbols()).unwrap();
+    let a = analyze_datalog_cost(&p, None, None, &CostContext::with_stats(db.plan_stats()));
+    let guard = huge_active_guard();
+    let eval = db
+        .datalog_with(text, &guard)
+        .map_err(|e| TestCaseError::Fail(format!("evaluation failed: {e}")))?;
+    prop_assert!(eval.truncated.is_none(), "huge budget must not truncate");
+    Ok((a.envelope, guard.steps_used(), guard.memory_used()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn indexed_datalog_envelope_brackets_constant_label_runs(
+        g in arb_graph(),
+        which in 0usize..LABELED_PROGRAMS.len() + PROGRAMS.len(),
+    ) {
+        let text = LABELED_PROGRAMS.iter().chain(PROGRAMS).nth(which).unwrap();
+        let (envelope, used, mem) = indexed_run(g, text)?;
+        assert_brackets("indexed datalog", &envelope, used, mem)?;
+    }
+
+    #[test]
+    fn indexed_datalog_admission_never_rejects_a_run_that_fits(
+        g in arb_graph(),
+        which in 0usize..LABELED_PROGRAMS.len() + PROGRAMS.len(),
+    ) {
+        let text = LABELED_PROGRAMS.iter().chain(PROGRAMS).nth(which).unwrap();
+        let (envelope, used, mem) = indexed_run(g, text)?;
+        let budget = Budget::unlimited()
+            .max_steps(used)
+            .max_memory_bytes(mem.max(1));
+        prop_assert!(
+            budget.admit(&envelope).is_ok(),
+            "admission rejected a budget the run fit: used {used} steps, floor {}",
+            envelope.fuel.lo
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Budget split/refund: the session-quota arithmetic ssd-serve relies on
 // ---------------------------------------------------------------------------
 

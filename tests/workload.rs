@@ -283,3 +283,25 @@ fn select_results_on_a_generated_graph_are_sets_in_both_engines() {
         }
     }
 }
+
+#[test]
+fn references_closure_on_a_generated_graph_matches_set_backed_naive() {
+    // The datalog scenario's `References` closure at 10^4 edges: the
+    // index-backed evaluator behind `Database::datalog` derives exactly
+    // the naive fixpoint over the copied triple-store EDB.
+    use semistructured::triples::datalog::{evaluate_naive, parse_program};
+    use semistructured::{Database, TripleStore};
+
+    let cfg = GenConfig::new(10_000, 42);
+    let db = Database::new(gen::build_graph(&cfg));
+    let text = Scenario::DatalogClosure.text(&cfg, 0);
+    let indexed = db.datalog(&text).expect("indexed closure");
+    let program = parse_program(&text, db.graph().symbols()).expect("program parses");
+    let naive = evaluate_naive(&program, &TripleStore::from_graph(db.graph())).expect("naive");
+    assert!(indexed.count("reach") > 0);
+    assert_eq!(indexed.facts.get("reach"), naive.facts.get("reach"));
+    assert!(
+        !indexed.facts.contains_key("edge"),
+        "the index path must not copy the edge relation"
+    );
+}
